@@ -42,7 +42,7 @@
 #include "exec/batch_runner.h"
 #include "exec/query_group.h"
 #include "exec/thread_pool.h"
-#include "spatial/rtree.h"
+#include "spatial/frozen_rtree.h"
 
 namespace {
 
@@ -181,15 +181,13 @@ EnumVsBoolMeasurement MeasureEnumVsRepeatedBool(
 
   // The venue index the emulation scans; apps without RangeReachEnum
   // would hold exactly this.
-  RTreePoints2D venues;
-  {
-    std::vector<std::pair<Point2D, uint64_t>> entries;
-    entries.reserve(network.spatial_vertices().size());
-    for (const VertexId v : network.spatial_vertices()) {
-      entries.emplace_back(network.PointOf(v), v);
-    }
-    venues.BulkLoad(std::move(entries));
+  std::vector<std::pair<Point2D, uint64_t>> entries;
+  entries.reserve(network.spatial_vertices().size());
+  for (const VertexId v : network.spatial_vertices()) {
+    entries.emplace_back(network.PointOf(v), v);
   }
+  const FrozenRTreePoints2D venues =
+      FrozenRTreePoints2D::BulkLoad(std::move(entries));
 
   const std::unique_ptr<QueryScratch> scratch = method.NewScratch();
   std::vector<VertexId> out;
@@ -198,7 +196,7 @@ EnumVsBoolMeasurement MeasureEnumVsRepeatedBool(
   // Warmup both paths once before timing either.
   method.EvaluateEnumInto(queries[0].vertex, queries[0].region, *scratch,
                           out);
-  (void)venues.CountIntersecting(queries[0].region);
+  (void)venues.CollectIntersecting(queries[0].region);
 
   Stopwatch watch;
   for (const RangeReachQuery& query : queries) {

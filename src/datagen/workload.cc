@@ -68,7 +68,7 @@ WorkloadGenerator::WorkloadGenerator(const GeoSocialNetwork* network,
   for (const VertexId v : network->spatial_vertices()) {
     entries.emplace_back(network->PointOf(v), v);
   }
-  points_rtree_.BulkLoad(std::move(entries));
+  points_rtree_ = FrozenRTreePoints2D::BulkLoad(std::move(entries));
 }
 
 std::vector<RangeReachQuery> WorkloadGenerator::Generate(
@@ -212,7 +212,13 @@ Rect WorkloadGenerator::RandomRegionBySelectivity(double selectivity_percent) {
   auto count_at = [&](double side) {
     const Rect region(center.x - side / 2.0, center.y - side / 2.0,
                       center.x + side / 2.0, center.y + side / 2.0);
-    return points_rtree_.CountIntersecting(region);
+    size_t count = 0;
+    points_rtree_.ForEachIntersecting(region, [&count](const Point2D&,
+                                                       uint64_t) {
+      ++count;
+      return true;
+    });
+    return count;
   };
 
   double lo = 0.0;

@@ -6,83 +6,108 @@
 
 namespace gsr::exec {
 
-BatchRunner::BatchRunner(ThreadPool* pool) : pool_(pool) {}
-BatchRunner::~BatchRunner() = default;
-
-void BatchRunner::EnsureScratches(const RangeReachMethod& method) {
-  if (scratch_method_id_ == method.instance_id()) return;
+void ScratchCache::Ensure(const RangeReachMethod& method, unsigned workers) {
+  if (method_id_ == method.instance_id()) return;
   scratches_.clear();
-  scratches_.reserve(pool_->size());
-  for (unsigned i = 0; i < pool_->size(); ++i) {
+  scratches_.reserve(workers);
+  for (unsigned i = 0; i < workers; ++i) {
     scratches_.push_back(method.NewScratch());
   }
-  scratch_method_id_ = method.instance_id();
+  method_id_ = method.instance_id();
 }
+
+void ScratchCache::Drain(const RangeReachMethod& method) {
+  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
+    method.DrainScratchCounters(*scratch);
+  }
+}
+
+BatchResult SizedBatchResult(size_t n, QueryKind kind, bool record_latencies) {
+  BatchResult result;
+  result.answers.assign(n, 0);
+  if (kind != QueryKind::kBool) {
+    result.counts.assign(n, 0);
+    if (kind == QueryKind::kEnum) result.enums.assign(n, {});
+  }
+  if (record_latencies) result.latencies_us.assign(n, 0.0);
+  return result;
+}
+
+namespace {
+
+/// Evaluates one query of `kind` into slot `slot` of `result`.
+void EvaluateOne(const RangeReachMethod& method, const RangeReachQuery& query,
+                 QueryKind kind, QueryScratch& scratch, size_t slot,
+                 BatchResult& result) {
+  switch (kind) {
+    case QueryKind::kBool:
+      result.answers[slot] =
+          method.Evaluate(query.vertex, query.region, scratch) ? 1 : 0;
+      return;
+    case QueryKind::kCount: {
+      ResultSink sink = ResultSink::Count();
+      method.CollectInto(query.vertex, query.region, sink, scratch);
+      result.counts[slot] = sink.count();
+      result.answers[slot] = sink.found() ? 1 : 0;
+      return;
+    }
+    case QueryKind::kEnum: {
+      ResultSink sink = ResultSink::Enum(&result.enums[slot]);
+      method.CollectInto(query.vertex, query.region, sink, scratch);
+      sink.Finalize();
+      result.counts[slot] = sink.count();
+      result.answers[slot] = sink.found() ? 1 : 0;
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+void EvaluateEach(ThreadPool& pool, const RangeReachMethod& method,
+                  std::span<const RangeReachQuery> queries, size_t offset,
+                  QueryKind kind, size_t chunk, ScratchCache& scratches,
+                  FirstError& error, BatchResult& result) {
+  // No clock read unless latencies were asked for: at sub-microsecond
+  // methods a steady_clock call per query is measurable drag.
+  const bool timed = !result.latencies_us.empty();
+  pool.ParallelFor(queries.size(), chunk, [&](size_t i, unsigned worker) {
+    std::chrono::steady_clock::time_point begin;
+    if (timed) begin = std::chrono::steady_clock::now();
+    try {
+      EvaluateOne(method, queries[i], kind, scratches[worker], offset + i,
+                  result);
+    } catch (...) {
+      // Swallowed so this worker keeps draining its chunk (ParallelFor
+      // would otherwise abandon it); the batch rethrows afterwards.
+      error.Capture();
+      return;
+    }
+    if (timed) {
+      result.latencies_us[offset + i] =
+          std::chrono::duration<double, std::micro>(
+              std::chrono::steady_clock::now() - begin)
+              .count();
+    }
+  });
+}
+
+BatchRunner::BatchRunner(ThreadPool* pool) : pool_(pool) {}
+BatchRunner::~BatchRunner() = default;
 
 BatchResult BatchRunner::Run(const RangeReachMethod& method,
                              const std::vector<RangeReachQuery>& queries,
                              const BatchOptions& options) {
-  EnsureScratches(method);
-
-  BatchResult result;
-  result.answers.assign(queries.size(), 0);
-  if (options.kind != QueryKind::kBool) {
-    result.counts.assign(queries.size(), 0);
-    if (options.kind == QueryKind::kEnum) {
-      result.enums.assign(queries.size(), {});
-    }
-  }
-  if (options.record_latencies) {
-    result.latencies_us.assign(queries.size(), 0.0);
-  }
-
-  // One evaluation, kind-dispatched; workers write disjoint slots of the
-  // result arrays, so no synchronization is needed.
-  auto eval_one = [&](size_t i, QueryScratch& scratch) {
-    const RangeReachQuery& query = queries[i];
-    switch (options.kind) {
-      case QueryKind::kBool:
-        result.answers[i] =
-            method.Evaluate(query.vertex, query.region, scratch) ? 1 : 0;
-        break;
-      case QueryKind::kCount: {
-        ResultSink sink = ResultSink::Count();
-        method.CollectInto(query.vertex, query.region, sink, scratch);
-        result.counts[i] = sink.count();
-        result.answers[i] = sink.found() ? 1 : 0;
-        break;
-      }
-      case QueryKind::kEnum: {
-        ResultSink sink = ResultSink::Enum(&result.enums[i]);
-        method.CollectInto(query.vertex, query.region, sink, scratch);
-        sink.Finalize();
-        result.counts[i] = sink.count();
-        result.answers[i] = sink.found() ? 1 : 0;
-        break;
-      }
-    }
-  };
-
-  pool_->ParallelFor(
-      queries.size(), options.chunk,
-      [&](size_t i, unsigned worker) {
-        QueryScratch& scratch = *scratches_[worker];
-        if (options.record_latencies) {
-          const auto start = std::chrono::steady_clock::now();
-          eval_one(i, scratch);
-          const auto stop = std::chrono::steady_clock::now();
-          result.latencies_us[i] =
-              std::chrono::duration<double, std::micro>(stop - start).count();
-        } else {
-          eval_one(i, scratch);
-        }
-      });
-
-  // Fold per-worker counters into the method aggregate on this thread;
-  // the pool is idle now, so no query races with the drain.
-  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
-    method.DrainScratchCounters(*scratch);
-  }
+  scratches_.Ensure(method, pool_->size());
+  BatchResult result =
+      SizedBatchResult(queries.size(), options.kind, options.record_latencies);
+  FirstError error;
+  EvaluateEach(*pool_, method, queries, 0, options.kind, options.chunk,
+               scratches_, error, result);
+  // Pool idle: fold per-worker counters into the method aggregate on this
+  // thread, even on the error path (the scratches are still healthy).
+  scratches_.Drain(method);
+  error.RethrowIfAny();
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;
@@ -91,19 +116,15 @@ BatchResult BatchRunner::Run(const RangeReachMethod& method,
 BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
                                 const std::vector<AnyReachQuery>& queries,
                                 const BatchOptions& options) {
-  EnsureScratches(method);
-
-  BatchResult result;
-  result.answers.assign(queries.size(), 0);
-  if (options.record_latencies) {
-    result.latencies_us.assign(queries.size(), 0.0);
-  }
+  scratches_.Ensure(method, pool_->size());
+  BatchResult result = SizedBatchResult(queries.size(), QueryKind::kBool,
+                                        options.record_latencies);
 
   pool_->ParallelFor(
       queries.size(), options.chunk,
       [&](size_t i, unsigned worker) {
         const AnyReachQuery& query = queries[i];
-        QueryScratch& scratch = *scratches_[worker];
+        QueryScratch& scratch = scratches_[worker];
         if (options.record_latencies) {
           const auto start = std::chrono::steady_clock::now();
           result.answers[i] =
@@ -117,9 +138,7 @@ BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
         }
       });
 
-  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
-    method.DrainScratchCounters(*scratch);
-  }
+  scratches_.Drain(method);
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;
@@ -131,7 +150,5 @@ BatchResult BatchRunner::RunShared(const RangeReachMethod& method,
   if (!scheduler_) scheduler_ = std::make_unique<QueryScheduler>(pool_);
   return scheduler_->Run(method, queries, options);
 }
-
-size_t BatchRunner::cached_scratch_count() const { return scratches_.size(); }
 
 }  // namespace gsr::exec

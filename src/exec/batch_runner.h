@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/range_reach.h"
@@ -49,6 +52,60 @@ struct BatchResult {
   std::vector<double> latencies_us;
 };
 
+/// Per-worker query scratches for one method, shared by BatchRunner and
+/// QueryScheduler. Scratches are cached across batches for the same
+/// method (index buffers stay warm); switching methods re-creates them.
+/// Keyed by instance_id(), not address: a destroyed method's address can
+/// be reoccupied by a new instance whose scratch layout differs.
+class ScratchCache {
+ public:
+  /// Makes one scratch per worker available for `method`.
+  void Ensure(const RangeReachMethod& method, unsigned workers);
+  QueryScratch& operator[](unsigned worker) { return *scratches_[worker]; }
+  /// Folds every scratch's counters into `method`'s aggregate. The pool
+  /// must be idle, so no query races with the drain.
+  void Drain(const RangeReachMethod& method);
+  size_t size() const { return scratches_.size(); }
+
+ private:
+  uint64_t method_id_ = 0;  // 0 = empty.
+  std::vector<std::unique_ptr<QueryScratch>> scratches_;
+};
+
+/// Keeps the first exception thrown by any task of a batch, so the other
+/// tasks still run; the batch rethrows it after draining counters.
+class FirstError {
+ public:
+  /// Call from a catch block.
+  void Capture() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
+  }
+  void RethrowIfAny() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::exception_ptr error_;
+};
+
+/// A BatchResult with answer (and, per kind and `record_latencies`,
+/// count, enum and latency) slots for `n` queries.
+BatchResult SizedBatchResult(size_t n, QueryKind kind, bool record_latencies);
+
+/// The one per-query dispatch path, behind BatchRunner::Run and the
+/// scheduler's small-window bypass: evaluates queries[i] of `kind` into
+/// slot `offset + i` of `result` for every i, one query per pool index
+/// claimed `chunk` at a time. Workers write disjoint slots, so no
+/// synchronization is needed. Clocks are read only when `result` has
+/// latency slots. A throwing query is recorded in `error` and leaves its
+/// slot zero; every other query still runs.
+void EvaluateEach(ThreadPool& pool, const RangeReachMethod& method,
+                  std::span<const RangeReachQuery> queries, size_t offset,
+                  QueryKind kind, size_t chunk, ScratchCache& scratches,
+                  FirstError& error, BatchResult& result);
+
 /// Evaluates batches of RangeReach queries on a thread pool.
 ///
 /// Each pool worker gets its own QueryScratch (created via
@@ -58,8 +115,8 @@ struct BatchResult {
 /// method's aggregate counters on the calling thread, so
 /// method.counters() reflects batch work exactly as if it ran serially.
 ///
-/// Scratches are cached across Run() calls for the same method (index
-/// buffers stay warm); switching methods re-creates them.
+/// Scratches are cached across Run() calls for the same method (see
+/// ScratchCache).
 class BatchRunner {
  public:
   /// The pool must outlive the runner. Constructor and destructor are
@@ -68,7 +125,8 @@ class BatchRunner {
   ~BatchRunner();
 
   /// Evaluates all queries; blocks until the batch is done. Rethrows the
-  /// first exception any query evaluation threw.
+  /// first exception any query evaluation threw, after every other query
+  /// ran and the counters were drained.
   BatchResult Run(const RangeReachMethod& method,
                   const std::vector<RangeReachQuery>& queries,
                   const BatchOptions& options = {});
@@ -96,19 +154,11 @@ class BatchRunner {
   const QueryScheduler* scheduler() const { return scheduler_.get(); }
 
   /// Number of per-worker scratches currently cached (test hook).
-  size_t cached_scratch_count() const;
+  size_t cached_scratch_count() const { return scratches_.size(); }
 
  private:
-  /// (Re)fills the per-worker scratch cache for `method`.
-  void EnsureScratches(const RangeReachMethod& method);
-
   ThreadPool* pool_;
-  /// Scratch cache, one slot per pool worker, valid for the method whose
-  /// instance_id() this holds (0 = empty). Keyed by id, not address: a
-  /// destroyed method's address can be reoccupied by a new instance whose
-  /// scratch layout differs.
-  uint64_t scratch_method_id_ = 0;
-  std::vector<std::unique_ptr<QueryScratch>> scratches_;
+  ScratchCache scratches_;
   /// Lazily created by RunShared (incomplete type here; the destructor
   /// is out of line for the same reason).
   std::unique_ptr<QueryScheduler> scheduler_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <span>
 
 #include "common/check.h"
@@ -14,93 +12,33 @@ namespace gsr::exec {
 BatchResult QueryScheduler::Run(const RangeReachMethod& method,
                                 const std::vector<RangeReachQuery>& queries,
                                 const SchedulerOptions& options) {
-  if (scratch_method_id_ != method.instance_id()) {
-    scratches_.clear();
-    scratches_.reserve(pool_->size());
-    for (unsigned i = 0; i < pool_->size(); ++i) {
-      scratches_.push_back(method.NewScratch());
-    }
-    scratch_method_id_ = method.instance_id();
-  }
-
-  BatchResult result;
-  result.answers.assign(queries.size(), 0);
-  if (options.kind != QueryKind::kBool) {
-    result.counts.assign(queries.size(), 0);
-    if (options.kind == QueryKind::kEnum) {
-      result.enums.assign(queries.size(), {});
-    }
-  }
-  if (options.record_latencies) {
-    result.latencies_us.assign(queries.size(), 0.0);
-  }
+  scratches_.Ensure(method, pool_->size());
+  BatchResult result =
+      SizedBatchResult(queries.size(), options.kind, options.record_latencies);
   last_share_stats_ = ShareStats{};
 
   const size_t window = std::max<size_t>(1, options.grouping.window);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
+  FirstError error;
 
   for (size_t start = 0; start < queries.size(); start += window) {
     const size_t count = std::min(window, queries.size() - start);
 
     if (count < options.min_window_to_group) {
       // A window this small has (almost) nothing to share; skip the
-      // grouping pass and run one query per pool task, exactly like
-      // BatchRunner::Run. Under open-loop serving this is the common
-      // dispatch shape whenever the backlog is small, and the grouping
-      // pass would be pure added latency there; a real backlog exceeds
-      // the threshold and gets grouped as usual.
+      // grouping pass and run one query per pool task through
+      // BatchRunner::Run's dispatch path, with its default claim chunk.
+      // Under open-loop serving this is the common dispatch shape
+      // whenever the backlog is small, and the grouping pass would be
+      // pure added latency there; a real backlog exceeds the threshold
+      // and gets grouped as usual.
       last_share_stats_.groups += count;
       last_share_stats_.queries += count;
       last_share_stats_.distinct_regions += count;
-      // Match BatchRunner::Run's per-query cost exactly: same claim
-      // chunk, and no clock read unless latencies were asked for — at
-      // sub-microsecond methods a steady_clock call per query is
-      // measurable drag on a backlog drain.
-      pool_->ParallelFor(count, BatchOptions{}.chunk, [&](size_t i,
-                                                          unsigned worker) {
-        const RangeReachQuery& query = queries[start + i];
-        std::chrono::steady_clock::time_point begin;
-        if (options.record_latencies) begin = std::chrono::steady_clock::now();
-        try {
-          switch (options.kind) {
-            case QueryKind::kBool:
-              result.answers[start + i] =
-                  method.Evaluate(query.vertex, query.region,
-                                  *scratches_[worker])
-                      ? 1
-                      : 0;
-              break;
-            case QueryKind::kCount: {
-              ResultSink sink = ResultSink::Count();
-              method.CollectInto(query.vertex, query.region, sink,
-                                 *scratches_[worker]);
-              result.counts[start + i] = sink.count();
-              result.answers[start + i] = sink.found() ? 1 : 0;
-              break;
-            }
-            case QueryKind::kEnum: {
-              ResultSink sink = ResultSink::Enum(&result.enums[start + i]);
-              method.CollectInto(query.vertex, query.region, sink,
-                                 *scratches_[worker]);
-              sink.Finalize();
-              result.counts[start + i] = sink.count();
-              result.answers[start + i] = sink.found() ? 1 : 0;
-              break;
-            }
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          return;
-        }
-        if (options.record_latencies) {
-          result.latencies_us[start + i] =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - begin)
-                  .count();
-        }
-      });
+      EvaluateEach(*pool_, method,
+                   std::span<const RangeReachQuery>(queries.data() + start,
+                                                    count),
+                   start, options.kind, BatchOptions{}.chunk, scratches_,
+                   error, result);
       continue;
     }
 
@@ -135,14 +73,14 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
             method.EvaluateGroup(group.vertex,
                                  std::span<const Rect>(group.regions),
                                  std::span<bool>(answers, slots),
-                                 *scratches_[worker]);
+                                 scratches_[worker]);
             break;
           case QueryKind::kCount:
             for (size_t k = 0; k < slots; ++k) sinks[k] = ResultSink::Count();
             method.CollectGroupInto(group.vertex,
                                     std::span<const Rect>(group.regions),
                                     std::span<ResultSink>(sinks, slots),
-                                    *scratches_[worker]);
+                                    scratches_[worker]);
             break;
           case QueryKind::kEnum:
             slot_vertices.resize(slots);
@@ -152,7 +90,7 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
             method.CollectGroupInto(group.vertex,
                                     std::span<const Rect>(group.regions),
                                     std::span<ResultSink>(sinks, slots),
-                                    *scratches_[worker]);
+                                    scratches_[worker]);
             for (size_t k = 0; k < slots; ++k) sinks[k].Finalize();
             break;
         }
@@ -160,8 +98,7 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
         // Swallow here so this worker keeps draining its remaining
         // groups (ParallelFor would otherwise abandon them); the first
         // exception is rethrown after the batch.
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        error.Capture();
         return;
       }
       double micros = 0.0;
@@ -189,10 +126,8 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
 
   // Pool idle: drain per-worker counters into the method aggregate, even
   // on the error path (the scratches are still healthy).
-  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
-    method.DrainScratchCounters(*scratch);
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  scratches_.Drain(method);
+  error.RethrowIfAny();
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;

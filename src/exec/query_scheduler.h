@@ -33,8 +33,8 @@ namespace gsr::exec {
 ///    next Run.
 ///
 /// Like BatchRunner, per-worker scratches are cached across Run() calls
-/// for the same method (keyed by instance_id) and their counters drained
-/// into the method aggregate after every batch.
+/// for the same method (ScratchCache) and their counters drained into
+/// the method aggregate after every batch.
 class QueryScheduler {
  public:
   /// The pool must outlive the scheduler.
@@ -59,10 +59,7 @@ class QueryScheduler {
 
  private:
   ThreadPool* pool_;
-  /// Scratch cache, one slot per pool worker, valid for the method whose
-  /// instance_id() this holds (0 = empty); same keying as BatchRunner.
-  uint64_t scratch_method_id_ = 0;
-  std::vector<std::unique_ptr<QueryScratch>> scratches_;
+  ScratchCache scratches_;
   /// Grouping state reused across windows and Run() calls, so a
   /// steady-state dispatch allocates nothing (the open-loop serving
   /// shape: many small windows per second).

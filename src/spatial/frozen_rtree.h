@@ -8,24 +8,62 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/paged_array.h"
 #include "common/simd.h"
-#include "spatial/rtree.h"
+#include "exec/thread_pool.h"
+#include "geometry/geometry.h"
 
 namespace gsr {
 
-/// The immutable, cache-compact form of a built RTree: every node packed
-/// into one contiguous array in breadth-first order, with all child boxes,
-/// child links, leaf geometries and leaf ids pooled into four flat arrays
-/// (SoA) — the spatial analogue of FlatLabelStore. Five allocations for
-/// the whole tree instead of four vectors per node, so a query descent
-/// touches sequential memory and the tree serializes as raw byte ranges.
+/// Leaf-geometry -> bounding-box conversions.
+inline Rect GeomToBox(const Rect& r) { return r; }
+inline Box3D GeomToBox(const Box3D& b) { return b; }
+inline Rect GeomToBox(const Point2D& p) { return Rect::FromPoint(p); }
+inline Box3D GeomToBox(const Point3D& p) {
+  return Box3D::FromPoint(p.x, p.y, p.z);
+}
+
+/// Query-box vs leaf-geometry intersection tests.
+inline bool GeomIntersects(const Rect& query, const Rect& geom) {
+  return query.Intersects(geom);
+}
+inline bool GeomIntersects(const Box3D& query, const Box3D& geom) {
+  return query.Intersects(geom);
+}
+inline bool GeomIntersects(const Rect& query, const Point2D& geom) {
+  return query.Contains(geom);
+}
+inline bool GeomIntersects(const Box3D& query, const Point3D& geom) {
+  return geom.x >= query.min[0] && geom.x <= query.max[0] &&
+         geom.y >= query.min[1] && geom.y <= query.max[1] &&
+         geom.z >= query.min[2] && geom.z <= query.max[2];
+}
+
+/// The R-tree behind the paper's spatial predicate (3DReach, 3DReach-REV
+/// and the SpaReach SCC index). It is bulk-loaded once with
+/// Sort-Tile-Recursive packing and then only queried: the streaming
+/// engine rebuilds instead of inserting.
+///
+/// - `BoxT` is the bounding-box type (Rect or Box3D); `LeafT` is how data
+///   entries are *stored* in the leaves. Following the Boost behaviour the
+///   paper relies on, points are stored as genuine points (2 or 3 doubles)
+///   while rectangles, boxes and vertical segments all occupy a full box —
+///   this is exactly why the paper's replicate (non-MBR) SCC variant beats
+///   the MBR one, and why 3DReach-REV sees no difference between them.
+/// - Every node is packed into one contiguous array in breadth-first
+///   order, with all child boxes, child links, leaf geometries and leaf
+///   ids pooled into four flat arrays (SoA) — the spatial analogue of
+///   FlatLabelStore. A query descent touches sequential memory and the
+///   tree serializes as raw byte ranges.
+/// - All query entry points support early termination, which RangeReach
+///   methods rely on (they only need *existence* of a matching entry).
 ///
 /// The five arrays have three possible backings:
-///  - owned after Freeze (and owned-copy Deserialize);
+///  - owned after BulkLoad (and owned-copy Deserialize);
 ///  - borrowed zero-copy from a memory-mapped snapshot section
 ///    (Deserialize with BorrowContext::borrow, `keepalive_` pinning the
 ///    mapping);
@@ -39,10 +77,9 @@ namespace gsr {
 ///    mid-node); smaller node types occasionally straddle and take the
 ///    cursor's bounce-buffer path.
 ///
-/// Entry and child order are preserved exactly from the source RTree, and
-/// ForEachIntersecting recurses in the same order, so a frozen tree
-/// enumerates hits in the identical sequence — methods answer
-/// bit-identically whether they query the dynamic or the frozen form.
+/// Entry order, child order and node numbering are a pure function of the
+/// entries (see BulkLoad), so hits enumerate in the identical sequence
+/// whether a tree was built at any thread count or loaded from a snapshot.
 template <typename BoxT, typename LeafT = BoxT>
 class FrozenRTree {
  public:
@@ -59,16 +96,23 @@ class FrozenRTree {
   static_assert(std::is_trivially_copyable_v<Node>);
   static_assert(sizeof(Node) == sizeof(BoxT) + 16);
 
+  /// Maximum entries per node, the common main-memory setting.
+  static constexpr size_t kFanout = 32;
+
   FrozenRTree() = default;
   FrozenRTree(FrozenRTree&&) = default;
   FrozenRTree& operator=(FrozenRTree&&) = default;
   FrozenRTree(const FrozenRTree&) = delete;
   FrozenRTree& operator=(const FrozenRTree&) = delete;
 
-  /// Packs `tree` into the frozen layout (node 0 is the root; nodes are
-  /// laid out level by level). The dynamic tree is left untouched and is
-  /// typically discarded right after.
-  static FrozenRTree Freeze(const RTree<BoxT, LeafT>& tree);
+  /// Builds the tree over `entries` with Sort-Tile-Recursive packing and
+  /// lays it out breadth-first (node 0 is the root). When `pool` is
+  /// non-null the tile sorts and node packing run on its workers; tile
+  /// boundaries depend only on entry *counts* and the sort comparator is
+  /// a strict total order, so the packed arrays are byte-identical to the
+  /// serial build at any thread count.
+  static FrozenRTree BulkLoad(std::vector<std::pair<LeafT, uint64_t>> entries,
+                              exec::ThreadPool* pool = nullptr);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -78,8 +122,8 @@ class FrozenRTree {
   BoxT Bounds() const { return NumNodes() == 0 ? BoxT() : root_mbr_; }
 
   /// Calls `fn(geom, id)` for every entry intersecting `query` until `fn`
-  /// returns false, in exactly the order the source RTree would. Returns
-  /// true when the visit was stopped early.
+  /// returns false, in packed (breadth-first, entry) order. Returns true
+  /// when the visit was stopped early.
   template <typename Fn>
   bool ForEachIntersecting(const BoxT& query, Fn&& fn) const {
     if (NumNodes() == 0) return false;
@@ -275,10 +319,10 @@ class FrozenRTree {
   /// SIMD descent: tests a whole node's entries in one mask-kernel call
   /// per <= kMaskWidth chunk instead of one predicate per entry. Set bits
   /// are consumed low-to-high, so entries are still visited in exactly
-  /// the packed (source RTree) order — the bit-identical-answers
-  /// contract. Before recursing, the matched children's node records are
-  /// software-prefetched so the next level is (mostly) in cache by the
-  /// time the recursion reaches it.
+  /// the packed order — the bit-identical-answers contract. Before
+  /// recursing, the matched children's node records are software-
+  /// prefetched so the next level is (mostly) in cache by the time the
+  /// recursion reaches it.
   template <typename View, typename Fn>
   bool VisitIntersecting(View& view, uint32_t node_idx, const BoxT& query,
                          Fn& fn) const {
@@ -482,10 +526,13 @@ class FrozenRTree {
   PagedArray<uint64_t> paged_leaf_ids_;
 };
 
-/// Frozen counterparts of the four RTree instantiations.
+/// 2-D R-tree over rectangles (the MBR SCC variant).
 using FrozenRTree2D = FrozenRTree<Rect, Rect>;
+/// 2-D R-tree over points (the replicate SCC variant).
 using FrozenRTreePoints2D = FrozenRTree<Rect, Point2D>;
+/// 3-D R-tree over boxes/segments (3DReach-REV, and 3DReach's MBR variant).
 using FrozenRTree3D = FrozenRTree<Box3D, Box3D>;
+/// 3-D R-tree over points (3DReach's replicate variant).
 using FrozenRTreePoints3D = FrozenRTree<Box3D, Point3D>;
 
 extern template class FrozenRTree<Rect, Rect>;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dynamic_range_reach.h"
@@ -216,6 +218,75 @@ TEST(BatchRunnerTest, RecordLatenciesProducesOnePerQuery) {
   for (const double latency : result.latencies_us) {
     EXPECT_GE(latency, 0.0);
   }
+}
+
+/// Throws on one poison vertex. Each scratch counts the evaluations it
+/// served and DrainScratchCounters folds them into `drained`, so a test
+/// sees both that the other queries ran and that their counters reached
+/// the aggregate despite the exception.
+class ThrowingMethod : public RangeReachMethod {
+ public:
+  static constexpr VertexId kPoison = 7;
+
+  struct Scratch : QueryScratch {
+    size_t evaluations = 0;
+  };
+
+  bool Evaluate(VertexId vertex, const Rect& region,
+                QueryScratch& scratch) const override {
+    if (vertex == kPoison) throw std::runtime_error("poison vertex");
+    ++static_cast<Scratch&>(scratch).evaluations;
+    return region.Contains(Point2D{static_cast<double>(vertex),
+                                   static_cast<double>(vertex)});
+  }
+  void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
+                   QueryScratch& scratch) const override {
+    if (Evaluate(vertex, region, scratch)) sink.Add(vertex);
+  }
+  std::unique_ptr<QueryScratch> NewScratch() const override {
+    return std::make_unique<Scratch>();
+  }
+  void DrainScratchCounters(QueryScratch& scratch) const override {
+    Scratch& s = static_cast<Scratch&>(scratch);
+    drained += s.evaluations;
+    s.evaluations = 0;
+  }
+  std::string name() const override { return "Throwing"; }
+  size_t IndexSizeBytes() const override { return 1; }
+
+  mutable size_t drained = 0;
+};
+
+TEST(BatchRunnerTest, ExceptionRunsTheRestDrainsAndRethrows) {
+  // 100 queries on vertices 0..99, one of them poisoned. Run must still
+  // evaluate the other 99 (across every claim chunk, including the
+  // poisoned query's own), drain their counters, then rethrow.
+  std::vector<RangeReachQuery> queries;
+  for (VertexId v = 0; v < 100; ++v) {
+    queries.push_back({v, Rect(0, 0, 49.5, 49.5)});
+  }
+
+  const ThrowingMethod method;
+  exec::ThreadPool pool(3);
+  exec::BatchRunner runner(&pool);
+  for (const QueryKind kind :
+       {QueryKind::kBool, QueryKind::kCount, QueryKind::kEnum}) {
+    exec::BatchOptions options;
+    options.kind = kind;
+    options.chunk = 8;
+    options.record_latencies = kind == QueryKind::kEnum;
+    const size_t before = method.drained;
+    EXPECT_THROW((void)runner.Run(method, queries, options),
+                 std::runtime_error);
+    EXPECT_EQ(method.drained - before, queries.size() - 1);
+  }
+
+  // The runner (and its scratch cache) stays usable afterwards.
+  queries.erase(queries.begin() + ThrowingMethod::kPoison);
+  const exec::BatchResult result = runner.Run(method, queries);
+  EXPECT_EQ(result.answers.size(), 99u);
+  EXPECT_EQ(result.true_count, 49u);  // Vertices 0..49 minus the poison.
+  EXPECT_EQ(runner.cached_scratch_count(), pool.size());
 }
 
 TEST(BatchRunnerTest, DynamicRangeReachParallelReaders) {

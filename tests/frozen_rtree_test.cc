@@ -1,103 +1,72 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/condensed_network.h"
+#include "core/method_factory.h"
+#include "core/method_snapshot.h"
+#include "exec/thread_pool.h"
 #include "spatial/frozen_rtree.h"
-#include "spatial/rtree.h"
+#include "tests/rtree_test_util.h"
+#include "tests/test_util.h"
 
 namespace gsr {
 namespace {
 
-/// FrozenRTree's contract: a frozen tree answers every query in exactly
-/// the order the source RTree would (the bit-identical-answers guarantee
-/// snapshot loading is built on), and survives a serialize round trip in
-/// both owned-copy and borrowed (mmap-style) modes.
+/// FrozenRTree's packed form enumerates hits in one fixed order (the
+/// bit-identical-answers guarantee snapshot loading is built on), answers
+/// batched masked descents like per-query ones, and survives a serialize
+/// round trip in both owned-copy and borrowed (mmap-style) modes. The
+/// bulk load's agreement with a linear scan is covered in rtree_test.
 
-std::vector<std::pair<Point2D, uint64_t>> RandomPoints(size_t n,
-                                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<Point2D, uint64_t>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries.emplace_back(Point2D{rng.NextDoubleInRange(0, 100),
-                                 rng.NextDoubleInRange(0, 100)},
-                         static_cast<uint64_t>(i));
-  }
-  return entries;
-}
+using testing::ExpectMatchesLinearScan;
+using testing::ExpectWellFormed;
+using testing::RandomPoints;
+using testing::RandomQueryRect;
+using testing::RandomSegments;
 
-std::vector<std::pair<Box3D, uint64_t>> RandomSegments(size_t n,
-                                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<Box3D, uint64_t>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double z_lo = rng.NextDoubleInRange(0, 50);
-    entries.emplace_back(
-        Box3D::VerticalSegment(rng.NextDoubleInRange(0, 100),
-                               rng.NextDoubleInRange(0, 100), z_lo,
-                               z_lo + rng.NextDoubleInRange(0, 50)),
-        static_cast<uint64_t>(i));
-  }
-  return entries;
-}
-
-Rect RandomQueryRect(Rng& rng) {
-  const double x = rng.NextDoubleInRange(-10, 100);
-  const double y = rng.NextDoubleInRange(-10, 100);
-  return Rect(x, y, x + rng.NextDoubleInRange(0, 40),
-              y + rng.NextDoubleInRange(0, 40));
-}
-
+/// Two trees enumerate the same hits in the same order, not merely the
+/// same set.
 template <typename BoxT, typename LeafT>
-void ExpectAgreesWithDynamic(const RTree<BoxT, LeafT>& dynamic,
-                             const FrozenRTree<BoxT, LeafT>& frozen,
-                             const std::vector<BoxT>& queries) {
-  EXPECT_EQ(frozen.size(), dynamic.size());
-  EXPECT_EQ(frozen.Height(), dynamic.Height());
-  EXPECT_EQ(frozen.SizeBytes() > 0, dynamic.size() > 0);
+void ExpectSameEnumeration(const FrozenRTree<BoxT, LeafT>& a,
+                           const FrozenRTree<BoxT, LeafT>& b,
+                           const std::vector<BoxT>& queries) {
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.Height(), b.Height());
+  EXPECT_EQ(a.Bounds(), b.Bounds());
   for (const BoxT& query : queries) {
-    EXPECT_EQ(frozen.AnyIntersecting(query), dynamic.AnyIntersecting(query));
-    // Same hits in the same order, not merely the same set.
-    EXPECT_EQ(frozen.CollectIntersecting(query),
-              dynamic.CollectIntersecting(query));
+    EXPECT_EQ(a.AnyIntersecting(query), b.AnyIntersecting(query));
+    EXPECT_EQ(a.CollectIntersecting(query), b.CollectIntersecting(query));
   }
 }
 
-TEST(FrozenRTreeTest, AgreesWithBulkLoadedPoints2D) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(500, 11));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+TEST(FrozenRTreeTest, Points2DAgreeWithLinearScan) {
+  const auto entries = RandomPoints(500, 11);
+  const auto frozen = FrozenRTreePoints2D::BulkLoad(entries);
   Rng rng(12);
   std::vector<Rect> queries;
   for (int q = 0; q < 200; ++q) queries.push_back(RandomQueryRect(rng));
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
+  ExpectMatchesLinearScan(frozen, entries, queries);
 }
 
-TEST(FrozenRTreeTest, AgreesWithIncrementallyBuiltPoints2D) {
-  RTreePoints2D dynamic;
-  for (const auto& [point, id] : RandomPoints(400, 21)) {
-    dynamic.Insert(point, id);
-  }
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
-  Rng rng(22);
-  std::vector<Rect> queries;
-  for (int q = 0; q < 200; ++q) queries.push_back(RandomQueryRect(rng));
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
-}
-
-TEST(FrozenRTreeTest, AgreesWithSegments3D) {
-  RTree3D dynamic;
-  dynamic.BulkLoad(RandomSegments(500, 31));
-  const auto frozen = FrozenRTree3D::Freeze(dynamic);
+TEST(FrozenRTreeTest, Segments3DAgreeWithLinearScan) {
+  const auto entries = RandomSegments(500, 31);
+  const auto frozen = FrozenRTree3D::BulkLoad(entries);
+  ExpectWellFormed(frozen);
   Rng rng(32);
   std::vector<Box3D> queries;
   for (int q = 0; q < 200; ++q) {
@@ -105,16 +74,14 @@ TEST(FrozenRTreeTest, AgreesWithSegments3D) {
         RandomQueryRect(rng), rng.NextDoubleInRange(0, 50),
         rng.NextDoubleInRange(50, 100)));
   }
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
+  ExpectMatchesLinearScan(frozen, entries, queries);
 }
 
 TEST(FrozenRTreeTest, MaskedDescentMatchesPerQueryExistence) {
   // AnyIntersectingMasked (one shared descent answering up to 64
   // existence queries) must return exactly the per-query AnyIntersecting
   // bits, for every pending-mask shape and at every kernel level.
-  RTree3D dynamic;
-  dynamic.BulkLoad(RandomSegments(700, 61));
-  const auto frozen = FrozenRTree3D::Freeze(dynamic);
+  const auto frozen = FrozenRTree3D::BulkLoad(RandomSegments(700, 61));
 
   Rng rng(62);
   for (const simd::KernelLevel level :
@@ -146,29 +113,13 @@ TEST(FrozenRTreeTest, MaskedDescentMatchesPerQueryExistence) {
   // Empty pending mask and empty tree are both no-ops.
   Box3D one = Box3D::FromRectAndInterval(Rect(0, 0, 100, 100), 0, 100);
   EXPECT_EQ(frozen.AnyIntersectingMasked(&one, 0), 0u);
-  const auto empty = FrozenRTree3D::Freeze(RTree3D());
+  const auto empty = FrozenRTree3D::BulkLoad({});
   EXPECT_EQ(empty.AnyIntersectingMasked(&one, ~uint64_t{0}), 0u);
 }
 
-TEST(FrozenRTreeTest, EmptyTree) {
-  const auto frozen = FrozenRTreePoints2D::Freeze(RTreePoints2D());
-  EXPECT_TRUE(frozen.empty());
-  EXPECT_EQ(frozen.size(), 0u);
-  EXPECT_FALSE(frozen.AnyIntersecting(Rect(0, 0, 100, 100)));
-  EXPECT_TRUE(frozen.Bounds().IsEmpty());
-
-  BinaryWriter writer;
-  frozen.SerializeTo(writer);
-  BinaryReader reader(writer.bytes());
-  auto restored = FrozenRTreePoints2D::Deserialize(reader, BorrowContext{});
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(restored->empty());
-}
-
 TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(600, 41));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+  const auto entries = RandomPoints(600, 41);
+  const auto frozen = FrozenRTreePoints2D::BulkLoad(entries);
 
   BinaryWriter writer;
   frozen.SerializeTo(writer);
@@ -184,7 +135,8 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
     BinaryReader reader(*buffer);
     auto restored = FrozenRTreePoints2D::Deserialize(reader, BorrowContext{});
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectAgreesWithDynamic(dynamic, *restored, queries);
+    ExpectSameEnumeration(frozen, *restored, queries);
+    ExpectMatchesLinearScan(*restored, entries, queries);
   }
   {
     BinaryReader reader(*buffer);
@@ -193,7 +145,7 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
     borrow.keepalive = buffer;
     auto restored = FrozenRTreePoints2D::Deserialize(reader, borrow);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectAgreesWithDynamic(dynamic, *restored, queries);
+    ExpectSameEnumeration(frozen, *restored, queries);
   }
 }
 
@@ -201,9 +153,7 @@ TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
   // ForEachIntersectingMasked's contract: for every live query k, hits
   // arrive in exactly ForEachIntersecting(queries[k]) order, whatever
   // the mask shape and kernel level. Dead mask bits must never fire.
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(900, 61));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+  const auto frozen = FrozenRTreePoints2D::BulkLoad(RandomPoints(900, 61));
 
   Rng rng(62);
   std::vector<Rect> queries;
@@ -244,13 +194,7 @@ TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
 
 TEST(FrozenRTreeTest, MaskedEnumerationBoxesVariant) {
   // Same contract on the Box3D tree (the 3DReach MBR-mode shape).
-  RTree<Box3D, Box3D> dynamic;
-  std::vector<std::pair<Box3D, uint64_t>> entries;
-  for (auto& [segment, id] : RandomSegments(700, 71)) {
-    entries.emplace_back(segment, id);
-  }
-  dynamic.BulkLoad(std::move(entries));
-  const auto frozen = FrozenRTree<Box3D, Box3D>::Freeze(dynamic);
+  const auto frozen = FrozenRTree3D::BulkLoad(RandomSegments(700, 71));
 
   Rng rng(72);
   std::vector<Box3D> queries;
@@ -285,10 +229,8 @@ TEST(FrozenRTreeTest, MaskedEnumerationOnEmptyTree) {
 }
 
 TEST(FrozenRTreeTest, CorruptChildLinkIsRejected) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(600, 51));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
-  ASSERT_GT(dynamic.Height(), 1);  // Need internal nodes to corrupt a link.
+  const auto frozen = FrozenRTreePoints2D::BulkLoad(RandomPoints(600, 51));
+  ASSERT_GT(frozen.Height(), 1);  // Need internal nodes to corrupt a link.
 
   BinaryWriter writer;
   frozen.SerializeTo(writer);
@@ -324,6 +266,148 @@ TEST(FrozenRTreeTest, CorruptChildLinkIsRejected) {
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.status().message().find("child link"), std::string::npos)
       << restored.status().ToString();
+}
+
+// --- Golden bytes --------------------------------------------------------
+//
+// The STR bulk load is pinned byte for byte: these hashes (XXH64 of the
+// SerializeTo bytes, and of whole method snapshot files) were recorded
+// once and must never change. Any edit to tile sizes, the sort
+// order, node numbering or the packed layout changes answers' enumeration
+// order and every snapshot on disk, and fails here first. Coordinates are
+// quantized to a coarse grid so the comparator's tie-break chain (other
+// centers, box extents, id) decides a large share of the order.
+
+template <typename LeafT>
+LeafT GoldenGeom(Rng& rng);
+
+double GridCoord(Rng& rng, uint64_t cells) {
+  return static_cast<double>(rng.NextBounded(cells)) * 0.5;
+}
+
+template <>
+Point2D GoldenGeom<Point2D>(Rng& rng) {
+  return Point2D{GridCoord(rng, 128), GridCoord(rng, 128)};
+}
+template <>
+Rect GoldenGeom<Rect>(Rng& rng) {
+  const double x = GridCoord(rng, 128);
+  const double y = GridCoord(rng, 128);
+  return Rect(x, y, x + GridCoord(rng, 8), y + GridCoord(rng, 8));
+}
+template <>
+Point3D GoldenGeom<Point3D>(Rng& rng) {
+  return Point3D{GridCoord(rng, 64), GridCoord(rng, 64), GridCoord(rng, 64)};
+}
+template <>
+Box3D GoldenGeom<Box3D>(Rng& rng) {
+  const double x = GridCoord(rng, 64);
+  const double y = GridCoord(rng, 64);
+  const double z = GridCoord(rng, 64);
+  return Box3D(x, y, z, x + GridCoord(rng, 4), y + GridCoord(rng, 4),
+               z + GridCoord(rng, 16));
+}
+
+template <typename BoxT, typename LeafT>
+uint64_t GoldenTreeHash(size_t n, exec::ThreadPool* pool) {
+  Rng rng(0x57A6 + n);
+  std::vector<std::pair<LeafT, uint64_t>> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    // Every 7th entry repeats its predecessor's geometry: exact duplicates
+    // differ only in id.
+    const LeafT geom = (i % 7 == 6) ? entries.back().first
+                                    : GoldenGeom<LeafT>(rng);
+    entries.emplace_back(geom, static_cast<uint64_t>(n - i));
+  }
+  const auto tree =
+      FrozenRTree<BoxT, LeafT>::BulkLoad(std::move(entries), pool);
+  BinaryWriter writer;
+  tree.SerializeTo(writer);
+  return XxHash64(writer.bytes().data(), writer.bytes().size());
+}
+
+constexpr size_t kGoldenSizes[] = {0, 1, 32, 33, 1025, 20000};
+
+template <typename BoxT, typename LeafT>
+void ExpectGoldenTreeHashes(const char* type, const uint64_t (&golden)[6]) {
+  exec::ThreadPool two(2);
+  exec::ThreadPool eight(8);
+  for (size_t s = 0; s < 6; ++s) {
+    const size_t n = kGoldenSizes[s];
+    for (exec::ThreadPool* pool : {static_cast<exec::ThreadPool*>(nullptr),
+                                   &two, &eight}) {
+      const uint64_t hash = GoldenTreeHash<BoxT, LeafT>(n, pool);
+      EXPECT_EQ(hash, golden[s])
+          << type << " n=" << n
+          << " threads=" << (pool == nullptr ? 1u : pool->size())
+          << " got 0x" << std::hex << hash;
+    }
+  }
+}
+
+TEST(FrozenRTreeGoldenTest, BulkLoadBytesArePinned) {
+  ExpectGoldenTreeHashes<Rect, Rect>("Rect/Rect",
+      {0x980d0b8e72041fe5, 0xba0f46098f6bfe6e, 0x2c81fe17c879fc7d,
+       0x1f2e01ec3a4bb997, 0xc9db0015dfdb6bed, 0x13b94c1e53bc74c4});
+  ExpectGoldenTreeHashes<Rect, Point2D>("Rect/Point2D",
+      {0x980d0b8e72041fe5, 0xe0bdcb0ad2ec5e59, 0x9138982b09ffc713,
+       0x98ce48f1b0ba345f, 0x38db3a5a491b1889, 0xa1834f3809d0fbde});
+  ExpectGoldenTreeHashes<Box3D, Box3D>("Box3D/Box3D",
+      {0x980d0b8e72041fe5, 0x6a5c2758fb27d1a3, 0xec212e3118f4a34d,
+       0x16da1200738f8967, 0xf4ea89f1523c5fd5, 0x1d307ebc2d962a24});
+  ExpectGoldenTreeHashes<Box3D, Point3D>("Box3D/Point3D",
+      {0x980d0b8e72041fe5, 0x4e563f7e1ac08bf9, 0x060497832e9932e5,
+       0x0ff380db9dac5d67, 0x3ba74c7dfa813d38, 0xb0ea03084a582b07});
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(FrozenRTreeGoldenTest, MethodSnapshotBytesArePinned) {
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(600, 3.0, 0.5, 2024);
+  const CondensedNetwork cn(&network);
+  struct Case {
+    MethodKind kind;
+    SccSpatialMode mode;
+    uint64_t golden;
+  };
+  const Case cases[] = {
+      {MethodKind::kThreeDReach, SccSpatialMode::kReplicate,
+       0x95e35dd02caea7aa},
+      {MethodKind::kThreeDReach, SccSpatialMode::kMbr,
+       0x708e34149727498a},
+      {MethodKind::kThreeDReachRev, SccSpatialMode::kReplicate,
+       0xcb0606eb88362da6},
+      {MethodKind::kSpaReachInt, SccSpatialMode::kReplicate,
+       0x0e312342633130b9},
+      {MethodKind::kSpaReachInt, SccSpatialMode::kMbr,
+       0x16aec07748127ddf},
+  };
+  std::string path = ::testing::TempDir();
+  if (!path.empty() && path.back() != '/') path += '/';
+  path += "golden_method.snap";
+  for (const Case& c : cases) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      MethodConfig config;
+      config.kind = c.kind;
+      config.scc_mode = c.mode;
+      config.build.num_threads = threads;
+      const auto method = CreateMethod(&cn, config);
+      ASSERT_TRUE(SaveMethodSnapshot(*method, config, cn, path).ok());
+      const std::string bytes = ReadWholeFile(path);
+      ASSERT_FALSE(bytes.empty());
+      const uint64_t hash = XxHash64(bytes.data(), bytes.size());
+      EXPECT_EQ(hash, c.golden)
+          << method->name() << " mode " << static_cast<int>(c.mode)
+          << " threads " << threads << " got 0x" << std::hex << hash;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -175,8 +175,15 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
 
     exec::ThreadPool pool(exec::ThreadPool::DefaultThreads());
     const RangeReachMethod& method = *loaded->method;
-    pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned) {
-      GSR_CHECK(method.EvaluateQuery(queries[i]) == (expected[i] != 0));
+    // One scratch per worker, as the scratch contract requires of
+    // concurrent callers: only the page cache is shared here.
+    std::vector<std::unique_ptr<QueryScratch>> scratches;
+    for (unsigned w = 0; w < pool.size(); ++w) {
+      scratches.push_back(method.NewScratch());
+    }
+    pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned worker) {
+      GSR_CHECK(method.EvaluateQuery(queries[i], *scratches[worker]) ==
+                (expected[i] != 0));
     });
 
     const snapshot::PageCache::Stats stats = loaded->page_cache->GetStats();

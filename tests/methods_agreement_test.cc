@@ -104,6 +104,38 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{400, 2.0, 0.3, 7}, AgreementCase{50, 5.0, 0.8, 8},
         AgreementCase{150, 0.5, 0.6, 9}, AgreementCase{300, 3.5, 0.25, 10}));
 
+TEST(MethodsAgreementTest, ParallelBuildsMatchNaiveBfs) {
+  // Index construction on a pool (STR bulk loads, labelings, GeoReach
+  // waves) must not change a single answer at any build thread count.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(400, 2.5, 0.4, 41);
+  const CondensedNetwork cn(&network);
+  const NaiveBfsMethod oracle(&network);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    std::vector<std::unique_ptr<RangeReachMethod>> methods;
+    for (MethodConfig config : AllConfigs()) {
+      config.build.num_threads = threads;
+      methods.push_back(CreateMethod(&cn, config));
+    }
+    Rng rng(4242);
+    for (int q = 0; q < 150; ++q) {
+      const VertexId v =
+          static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
+      const double x = rng.NextDoubleInRange(-10, 100);
+      const double y = rng.NextDoubleInRange(-10, 100);
+      const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
+                        y + rng.NextDoubleInRange(0, 60));
+      const bool expected = oracle.Evaluate(v, region);
+      for (const auto& method : methods) {
+        ASSERT_EQ(method->Evaluate(v, region), expected)
+            << method->name() << " built on " << threads
+            << " threads disagrees on vertex " << v << " region "
+            << region.ToString();
+      }
+    }
+  }
+}
+
 TEST(MethodsAgreementTest, SyntheticDatasetsBothRegimes) {
   // Exercise the generator's two regimes end to end, smaller scale.
   for (const double core_fraction : {1.0, 0.5}) {

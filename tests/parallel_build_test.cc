@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "core/condensed_network.h"
 #include "core/geo_reach.h"
@@ -20,7 +21,7 @@
 #include "exec/thread_pool.h"
 #include "geometry/geometry.h"
 #include "labeling/interval_labeling.h"
-#include "spatial/rtree.h"
+#include "spatial/frozen_rtree.h"
 #include "tests/test_util.h"
 
 namespace gsr {
@@ -100,19 +101,22 @@ TEST(ParallelRTreeTest, BulkLoadIdenticalAcrossThreadCounts) {
                          id);
   }
 
-  RTree<Rect, Point2D> serial;
-  serial.BulkLoad(entries);
-  ASSERT_TRUE(serial.CheckInvariants());
+  const FrozenRTreePoints2D serial = FrozenRTreePoints2D::BulkLoad(entries);
+  BinaryWriter serial_bytes;
+  serial.SerializeTo(serial_bytes);
 
   for (const unsigned threads : {2u, 8u}) {
     exec::ThreadPool pool(threads);
-    RTree<Rect, Point2D> parallel;
-    parallel.BulkLoad(entries, &pool);
-    ASSERT_TRUE(parallel.CheckInvariants());
+    const FrozenRTreePoints2D parallel =
+        FrozenRTreePoints2D::BulkLoad(entries, &pool);
     EXPECT_EQ(parallel.size(), serial.size());
     EXPECT_EQ(parallel.Height(), serial.Height());
     EXPECT_EQ(parallel.Bounds(), serial.Bounds());
-    EXPECT_EQ(parallel.SizeBytes(), serial.SizeBytes());
+    // The packed arrays are byte-identical, not merely equivalent.
+    BinaryWriter parallel_bytes;
+    parallel.SerializeTo(parallel_bytes);
+    EXPECT_TRUE(parallel_bytes.bytes() == serial_bytes.bytes())
+        << "threads " << threads;
 
     Rng query_rng(99);
     for (int q = 0; q < 200; ++q) {
