@@ -18,15 +18,26 @@ PageCache::PageCache(std::shared_ptr<PagedFile> file, const Options& options)
   // Never hold more frames than the file has pages.
   frames = std::min<uint64_t>(frames, std::max<uint64_t>(file_pages, 1));
   arena_ = std::make_unique<std::byte[]>(frames * page_size_);
-  frames_.resize(frames);
+  frames_ = std::vector<Frame>(frames);
+  page_to_frame_ = std::vector<std::atomic<uint32_t>>(file_pages);
 }
 
 PageCache::~PageCache() {
 #if !defined(NDEBUG)
   for (const Frame& frame : frames_) {
-    GSR_DCHECK(frame.pins == 0);
+    GSR_DCHECK(frame.pins.load() == 0);
   }
 #endif
+}
+
+bool PageCache::Unpublish(Frame& frame) {
+  // Dekker with the hit path, which pins and then re-reads the tag: with
+  // both sides seq_cst, either the hit sees tag 0 and backs off, or this
+  // load sees its pin.
+  const uint64_t tag = frame.tag.exchange(0, std::memory_order_seq_cst);
+  if (frame.pins.load(std::memory_order_seq_cst) == 0) return true;
+  frame.tag.store(tag, std::memory_order_release);
+  return false;
 }
 
 int PageCache::FindVictim() {
@@ -39,59 +50,90 @@ int PageCache::FindVictim() {
     Frame& frame = frames_[hand_];
     const size_t idx = hand_;
     hand_ = (hand_ + 1) % n;
-    if (frame.pins > 0 || frame.loading) continue;
-    if (frame.valid && frame.ref) {
-      frame.ref = false;
+    if (frame.loading || frame.pins.load(std::memory_order_relaxed) > 0) {
       continue;
     }
+    if (frame.valid && frame.ref.load(std::memory_order_relaxed)) {
+      frame.ref.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    if (!Unpublish(frame)) continue;
+    // A hit may have pinned since Unpublish; it will see tag 0 and undo
+    // its pin, so add ours rather than overwrite the count.
+    frame.pins.fetch_add(1, std::memory_order_relaxed);
     return static_cast<int>(idx);
   }
   return -1;
 }
 
 const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
+  // Bounds first: page_no * page_size_ could wrap for huge page_no.
+  if (page_no >= page_to_frame_.size()) return nullptr;
+
+  // Hit path, no lock: pin the mapped frame, then validate its tag. The
+  // table entry may be stale; the tag check is what proves the mapping.
+  const uint32_t slot = page_to_frame_[page_no].load(std::memory_order_relaxed);
+  if (slot != 0) {
+    Frame& frame = frames_[slot - 1];
+    frame.pins.fetch_add(1, std::memory_order_seq_cst);
+    if (frame.tag.load(std::memory_order_seq_cst) == page_no + 1) {
+      if (!frame.ref.load(std::memory_order_relaxed)) {
+        frame.ref.store(true, std::memory_order_relaxed);
+      }
+      frame.hits.fetch_add(1, std::memory_order_relaxed);
+      *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(slot));
+      return FrameData(slot - 1);
+    }
+    // Evicted, loading or mid-eviction-check: back off to the lock.
+    frame.pins.fetch_sub(1, std::memory_order_release);
+  }
+  return PinPageLocked(page_no, handle);
+}
+
+const std::byte* PageCache::PinPageLocked(uint64_t page_no, void** handle) {
   const uint64_t page_off = page_no * page_size_;
-  if (page_off >= file_->size()) return nullptr;
   const size_t load_len = static_cast<size_t>(
       std::min<uint64_t>(page_size_, file_->size() - page_off));
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    const auto it = page_to_frame_.find(page_no);
-    if (it != page_to_frame_.end()) {
-      Frame& frame = frames_[it->second];
+    const uint32_t slot =
+        page_to_frame_[page_no].load(std::memory_order_relaxed);
+    if (slot != 0) {
+      Frame& frame = frames_[slot - 1];
       if (frame.loading) {
         // Another thread is filling this frame; its completion (or
         // failure) is signalled under the lock.
         load_done_.wait(lock);
         continue;
       }
-      ++frame.pins;
-      frame.ref = true;
-      ++hits_;
-      *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(it->second) + 1);
-      return FrameData(it->second);
+      frame.pins.fetch_add(1, std::memory_order_relaxed);
+      frame.ref.store(true, std::memory_order_relaxed);
+      frame.hits.fetch_add(1, std::memory_order_relaxed);
+      *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(slot));
+      return FrameData(slot - 1);
     }
 
     const int victim = FindVictim();
     if (victim < 0) return nullptr;  // All pinned/loading: caller bypasses.
     Frame& frame = frames_[victim];
     if (frame.valid) {
-      page_to_frame_.erase(frame.page_no);
+      page_to_frame_[frame.page_no].store(0, std::memory_order_relaxed);
       ++evictions_;
     }
     frame.page_no = page_no;
     frame.valid = false;
     frame.loading = true;
-    frame.ref = true;
-    frame.pins = 1;
-    page_to_frame_.emplace(page_no, static_cast<uint32_t>(victim));
+    frame.ref.store(true, std::memory_order_relaxed);
+    page_to_frame_[page_no].store(static_cast<uint32_t>(victim) + 1,
+                                  std::memory_order_relaxed);
     ++misses_;
 
     Status status;
     {
       // The pread runs unlocked; the `loading` flag keeps every other
-      // thread (including the eviction sweep) off this frame meanwhile.
+      // thread (including the eviction sweep) off this frame meanwhile,
+      // and tag 0 turns lock-free hits away.
       lock.unlock();
       std::byte* data = FrameData(static_cast<size_t>(victim));
       status = file_->ReadAt(page_off, load_len, data);
@@ -102,13 +144,13 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
     }
     frame.loading = false;
     if (!status.ok()) {
-      frame.pins = 0;
-      frame.valid = false;
-      page_to_frame_.erase(page_no);
+      frame.pins.fetch_sub(1, std::memory_order_release);
+      page_to_frame_[page_no].store(0, std::memory_order_relaxed);
       load_done_.notify_all();
       return nullptr;
     }
     frame.valid = true;
+    frame.tag.store(page_no + 1, std::memory_order_release);
     load_done_.notify_all();
     *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(victim) + 1);
     return FrameData(static_cast<size_t>(victim));
@@ -117,9 +159,11 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
 
 void PageCache::UnpinPage(void* handle) {
   const size_t idx = reinterpret_cast<uintptr_t>(handle) - 1;
-  std::lock_guard<std::mutex> lock(mu_);
-  GSR_DCHECK(idx < frames_.size() && frames_[idx].pins > 0);
-  --frames_[idx].pins;
+  GSR_DCHECK(idx < frames_.size());
+  const uint32_t prev =
+      frames_[idx].pins.fetch_sub(1, std::memory_order_release);
+  GSR_DCHECK(prev > 0);
+  (void)prev;
 }
 
 Status PageCache::Read(uint64_t offset, size_t len, void* out) {
@@ -157,7 +201,9 @@ void PageCache::Prefetch(uint64_t offset, size_t len) {
 PageCache::Stats PageCache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
-  stats.hits = hits_;
+  for (const Frame& frame : frames_) {
+    stats.hits += frame.hits.load(std::memory_order_relaxed);
+  }
   stats.misses = misses_;
   stats.evictions = evictions_;
   stats.bypass_reads = bypass_reads_.load(std::memory_order_relaxed);
@@ -166,7 +212,9 @@ PageCache::Stats PageCache::GetStats() const {
 
 void PageCache::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
-  hits_ = 0;
+  for (Frame& frame : frames_) {
+    frame.hits.store(0, std::memory_order_relaxed);
+  }
   misses_ = 0;
   evictions_ = 0;
   bypass_reads_.store(0, std::memory_order_relaxed);
@@ -174,12 +222,16 @@ void PageCache::ResetStats() {
 
 void PageCache::Drop() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& frame = frames_[i];
-    if (frame.pins > 0 || frame.loading) continue;
-    if (frame.valid) page_to_frame_.erase(frame.page_no);
+  for (Frame& frame : frames_) {
+    if (frame.loading || frame.pins.load(std::memory_order_relaxed) > 0) {
+      continue;
+    }
+    if (frame.valid) {
+      if (!Unpublish(frame)) continue;  // A hit pinned it meanwhile.
+      page_to_frame_[frame.page_no].store(0, std::memory_order_relaxed);
+    }
     frame.valid = false;
-    frame.ref = false;
+    frame.ref.store(false, std::memory_order_relaxed);
   }
   hand_ = 0;
 }

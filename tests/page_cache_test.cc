@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -199,6 +201,18 @@ TEST(PageCacheTest, OutOfRangeAccessFailsCleanly) {
   EXPECT_FALSE(cache->Read(kFileSize + kPage, kPage, buf.data()).ok());
   void* handle = nullptr;
   EXPECT_EQ(cache->PinPage(kFullPages + 1, &handle), nullptr);
+  // Page numbers whose byte offset wraps 64 bits (2^56 at this fixture's
+  // 256-byte pages, 2^52 at 4 KiB) must not alias a small in-range offset
+  // and map a wrong page into the cache.
+  const PageCache::Stats before = cache->GetStats();
+  EXPECT_EQ(cache->PinPage(uint64_t{1} << 56, &handle), nullptr);
+  EXPECT_EQ(cache->PinPage(uint64_t{1} << 52, &handle), nullptr);
+  EXPECT_EQ(cache->PinPage(UINT64_MAX, &handle), nullptr);
+  const PageCache::Stats after = cache->GetStats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.bypass_reads, before.bypass_reads);
   // Prefetch is advisory: out-of-range is simply ignored.
   cache->Prefetch(kFileSize + kPage, kPage);
   cache->Prefetch(0, kFileSize);
@@ -242,6 +256,74 @@ TEST(PageCacheTest, ConcurrentReadersAccountExactly) {
     GSR_CHECK(cache->Read(p * kPage, kPage, buf).ok());
     GSR_CHECK(buf[11] == ByteAt(p * kPage + 11));
   });
+}
+
+TEST(PageCacheTest, HitPathRacesEvictionAndDrop) {
+  const std::string path = WriteFixture("pc_race.bin");
+  auto cache = OpenCache(path, 4 * kPage);  // 4 frames over 17 pages.
+  ASSERT_EQ(cache->num_frames(), 4u);
+  constexpr uint64_t kPages = kFullPages + 1;
+
+  // Pool workers pin random pages (lock-free hits racing misses that
+  // evict) while one more thread keeps invalidating frames with Drop().
+  // Every byte read through a pin must match the file: a hit that
+  // validated a frame mid-eviction would read another page's bytes.
+  std::atomic<bool> stop{false};
+  std::thread dropper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      cache->Drop();
+      std::this_thread::yield();
+    }
+  });
+  exec::ThreadPool pool(4);
+  constexpr size_t kIterations = 100000;
+  // Each iteration is one Read() of at most one page (exactly one hit,
+  // miss or bypass) plus one direct pin, which counts a hit or miss only
+  // when it succeeds.
+  std::atomic<uint64_t> reads{0};
+  pool.ParallelFor(kIterations, 64, [&](size_t index, unsigned) {
+    // Half the accesses go to 5 hot pages, so hits are common and still
+    // race the evictions the cold half forces.
+    uint64_t x = (index + 1) * 0x9E3779B97F4A7C15ull;
+    x ^= x >> 29;
+    const uint64_t p = (x & 1) ? (x >> 1) % 5 : (x >> 1) % kPages;
+    const size_t len = p < kFullPages ? kPage : kTail;
+    void* handle = nullptr;
+    if (const std::byte* data = cache->PinPage(p, &handle)) {
+      for (size_t i = 0; i < len; ++i) {
+        GSR_CHECK(std::to_integer<uint8_t>(data[i]) == ByteAt(p * kPage + i));
+      }
+      cache->UnpinPage(handle);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+    uint8_t buf[kPage];
+    GSR_CHECK(cache->Read(p * kPage, len, buf).ok());
+    reads.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 0; i < len; ++i) {
+      GSR_CHECK(buf[i] == ByteAt(p * kPage + i));
+    }
+  });
+  stop.store(true, std::memory_order_relaxed);
+  dropper.join();
+
+  const PageCache::Stats stats = cache->GetStats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.bypass_reads, reads.load());
+  EXPECT_GT(stats.hits, 0u);
+
+  // No pin leaked: after a final Drop, every frame is free again, so one
+  // read of each page costs exactly one miss and nothing else, and only
+  // the reads beyond the frame count evict (a frame held by a leaked pin
+  // would force one more eviction per lost frame).
+  cache->Drop();
+  cache->ResetStats();
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ExpectBytes(*cache, p * kPage, p < kFullPages ? kPage : kTail);
+  }
+  const PageCache::Stats cold = cache->GetStats();
+  EXPECT_EQ(cold.misses, kPages);
+  EXPECT_EQ(cold.evictions, kPages - cache->num_frames());
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_EQ(cold.bypass_reads, 0u);
 }
 
 }  // namespace
