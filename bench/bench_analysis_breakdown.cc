@@ -36,6 +36,11 @@ int main(int argc, char** argv) {
          "GeoReach visits", "GeoReach pruned", "SocReach |D(v)|",
          "SocReach tests", "3DReach 3D queries"});
 
+    const std::unique_ptr<QueryScratch> spa_scratch = spa.NewScratch();
+    const std::unique_ptr<QueryScratch> geo_scratch = geo.NewScratch();
+    const std::unique_ptr<QueryScratch> soc_scratch = soc.NewScratch();
+    const std::unique_ptr<QueryScratch> threed_scratch = threed.NewScratch();
+
     WorkloadGenerator workload(bundle.network.get(), 20250706);
     for (const double extent : PaperExtents()) {
       QuerySpec spec;
@@ -47,12 +52,16 @@ int main(int argc, char** argv) {
       geo.ResetCounters();
       soc.ResetCounters();
       threed.ResetCounters();
-      for (const RangeReachQuery& query : queries) {
-        spa.EvaluateQuery(query);
-        geo.EvaluateQuery(query);
-        soc.EvaluateQuery(query);
-        threed.EvaluateQuery(query);
+      for (const auto& [vertex, region] : queries) {
+        spa.Evaluate(vertex, region, *spa_scratch);
+        geo.Evaluate(vertex, region, *geo_scratch);
+        soc.Evaluate(vertex, region, *soc_scratch);
+        threed.Evaluate(vertex, region, *threed_scratch);
       }
+      spa.DrainScratchCounters(*spa_scratch);
+      geo.DrainScratchCounters(*geo_scratch);
+      soc.DrainScratchCounters(*soc_scratch);
+      threed.DrainScratchCounters(*threed_scratch);
 
       const double q = static_cast<double>(queries.size());
       auto avg = [q](uint64_t total) {

@@ -69,8 +69,12 @@ double TimedVerifiedLoad(const CondensedNetwork* cn, const std::string& path,
                  loaded.status().ToString().c_str());
     std::exit(1);
   }
-  for (const RangeReachQuery& query : queries) {
-    if (loaded->method->EvaluateQuery(query) != built.EvaluateQuery(query)) {
+  const std::unique_ptr<QueryScratch> loaded_scratch =
+      loaded->method->NewScratch();
+  const std::unique_ptr<QueryScratch> built_scratch = built.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    if (loaded->method->Evaluate(vertex, region, *loaded_scratch) !=
+        built.Evaluate(vertex, region, *built_scratch)) {
       std::fprintf(stderr,
                    "error: snapshot-loaded %s diverges from the built index\n",
                    built.name().c_str());
@@ -209,6 +213,6 @@ int main(int argc, char** argv) {
 
   const std::string json_path = options.out_dir + "/BENCH_snapshot.json";
   WriteJson(json_path, all, options.scale);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
   return 0;
 }

@@ -48,22 +48,24 @@ struct SerialStats {
   uint32_t true_answers = 0;
 };
 
-/// Serial per-query latency on the method-owned scratch: one warmup pass,
-/// then whole-batch repetitions until enough wall time accumulates.
+/// Serial per-query latency on one scratch: one warmup pass, then
+/// whole-batch repetitions until enough wall time accumulates. The
+/// scratch's counters are drained into the method's totals at the end.
 SerialStats MeasureSerial(const RangeReachMethod& method,
                           const std::vector<RangeReachQuery>& queries) {
   SerialStats stats;
   if (queries.empty()) return stats;
-  for (const RangeReachQuery& query : queries) {
-    (void)method.EvaluateQuery(query);
+  const std::unique_ptr<QueryScratch> scratch = method.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    (void)method.Evaluate(vertex, region, *scratch);
   }
   Stopwatch watch;
   size_t total = 0;
   int reps = 0;
   do {
     uint32_t trues = 0;
-    for (const RangeReachQuery& query : queries) {
-      if (method.EvaluateQuery(query)) ++trues;
+    for (const auto& [vertex, region] : queries) {
+      if (method.Evaluate(vertex, region, *scratch)) ++trues;
     }
     stats.true_answers = trues;
     total += queries.size();
@@ -71,6 +73,7 @@ SerialStats MeasureSerial(const RangeReachMethod& method,
   } while (watch.ElapsedSeconds() < kMinMeasuredSeconds &&
            reps < kMaxMeasuredReps);
   stats.avg_us = watch.ElapsedMicros() / static_cast<double>(total);
+  method.DrainScratchCounters(*scratch);
   return stats;
 }
 
@@ -229,7 +232,7 @@ int main(int argc, char** argv) {
     pm.speedup_vs_best_fixed =
         planner_stats.avg_us > 0.0 ? best_fixed_us / planner_stats.avg_us
                                    : 0.0;
-    const PlannedMethod::Counters& counters = planner.counters();
+    const PlannedMethod::Counters counters = planner.counters();
     const double denom =
         std::max<double>(1.0, static_cast<double>(counters.queries));
     pm.settled_negative_rate =
@@ -290,6 +293,6 @@ int main(int argc, char** argv) {
   const std::string json_path = options.out_dir + "/BENCH_planner.json";
   WriteJson(json_path, strata, method_all, planner_all, options.scale,
             options.queries);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "exec/batch_runner.h"
@@ -114,9 +115,12 @@ QueryStats MeasureQueries(const RangeReachMethod& method,
                           const std::vector<RangeReachQuery>& queries) {
   QueryStats stats;
   if (queries.empty()) return stats;
+  const std::unique_ptr<QueryScratch> scratch = method.NewScratch();
   Stopwatch watch;
   for (const RangeReachQuery& query : queries) {
-    if (method.EvaluateQuery(query)) ++stats.true_answers;
+    if (method.Evaluate(query.vertex, query.region, *scratch)) {
+      ++stats.true_answers;
+    }
   }
   stats.avg_micros = watch.ElapsedMicros() / static_cast<double>(queries.size());
   return stats;
@@ -426,10 +430,14 @@ bool EnsureDir(const std::string& dir) {
   return true;
 }
 
-void MirrorBenchJson(const std::string& json_path) {
+void MirrorBenchJson(const BenchOptions& options,
+                     const std::string& json_path) {
   namespace fs = std::filesystem;
+  // An explicit --out (smoke runs at other scales) keeps its results to
+  // itself; only a default run may replace the tracked copy.
+  if (options.out_dir != BenchOptions{}.out_dir) return;
   const fs::path src(json_path);
-  const fs::path dst = src.filename();
+  const fs::path dst = fs::path(GSR_REPO_ROOT) / src.filename();
   std::error_code ec;
   // equivalent() errors when dst does not exist yet; that just means
   // "not the same file", so fall through to the copy.

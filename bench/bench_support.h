@@ -138,11 +138,14 @@ OpenLoopStats MeasureOpenLoop(const RangeReachMethod& method,
 /// that fails — CSV output is then skipped.
 bool EnsureDir(const std::string& dir);
 
-/// Copies a freshly written <out>/BENCH_*.json over the tracked copy in
-/// the current working directory (the repo root when benches are run per
-/// README), so the two can never drift. No-op when the bench already
-/// wrote to the working directory; a failed copy only warns.
-void MirrorBenchJson(const std::string& json_path);
+/// Copies a freshly written <out>/BENCH_*.json over the tracked copy at
+/// the repo root (GSR_REPO_ROOT, fixed at configure time), so the two can
+/// never drift. Only runs whose --out was left at its default "results"
+/// mirror; a run with an explicit --out never touches the tracked files.
+/// No-op when the bench already wrote to the repo root; a failed copy
+/// only warns.
+void MirrorBenchJson(const BenchOptions& options,
+                     const std::string& json_path);
 
 /// One curve of a figure: a display label and the method answering it.
 struct FigureSeries {

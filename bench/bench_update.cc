@@ -168,7 +168,8 @@ void MeasureMixed(const BenchOptions& options, const DatasetBundle& bundle,
       }
       const NaiveBfsMethod oracle(network.get());
       ++m->agreement_checks;
-      if (oracle.Evaluate(sample.vertex, sample.region) != sample.answer) {
+      if (oracle.Evaluate(sample.vertex, sample.region, *oracle.NewScratch()) !=
+          sample.answer) {
         ++m->agreement_violations;
       }
     }
@@ -291,7 +292,7 @@ int main(int argc, char** argv) {
 
   const std::string json_path = options.out_dir + "/BENCH_update.json";
   WriteJson(json_path, all, options.scale, max_threads);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
 
   for (const UpdateMeasurement& m : all) {
     if (m.agreement_violations != 0) return 1;

@@ -48,9 +48,8 @@ int main() {
   std::printf("monitoring %zu districts for %zu index cases\n",
               districts.size(), cases.size());
 
-  // Explicit scratches: these loops are the hot path, and the two-argument
-  // convenience Evaluate would funnel every query through each method's
-  // shared default scratch.
+  // One scratch per method: every query runs on caller-owned state, so
+  // these loops could be split across threads with one scratch each.
   const std::unique_ptr<QueryScratch> rev_scratch = index.NewScratch();
   const std::unique_ptr<QueryScratch> soc_scratch = soc.NewScratch();
 

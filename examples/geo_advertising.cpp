@@ -59,8 +59,7 @@ int main() {
   }
 
   // Score every candidate by the number of influencers that geosocially
-  // reach it. An explicit scratch keeps this hot loop off the method-owned
-  // default scratch the convenience overload shares.
+  // reach it. One scratch holds the query state of the whole loop.
   const std::unique_ptr<QueryScratch> scratch = index.NewScratch();
   for (Candidate& candidate : candidates) {
     for (const VertexId influencer : influencers) {

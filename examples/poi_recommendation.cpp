@@ -78,8 +78,7 @@ int main() {
   }
 
   // Same workload through both methods: answers must agree; time differs.
-  // Explicit scratches keep the hot loop off the method-owned default
-  // scratch (a shared mutable the convenience API uses).
+  // One scratch per method, reused by every query of the loop.
   const std::unique_ptr<QueryScratch> spareach_scratch =
       spareach.NewScratch();
   uint64_t agree = 0;

@@ -7,6 +7,7 @@
 // Run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,14 +53,17 @@ int main() {
               static_cast<unsigned long long>(network->num_spatial_vertices()),
               index.IndexSizeBytes());
 
-  // 4. Ask questions.
+  // 4. Ask questions. Every query runs on a scratch from NewScratch():
+  //    the index itself is immutable, so one scratch per thread is all a
+  //    multi-threaded caller needs.
+  const std::unique_ptr<QueryScratch> scratch = index.NewScratch();
   const Rect downtown(0.0, 0.0, 4.0, 4.0);
   const Rect uptown(8.0, 8.0, 10.0, 10.0);
   const char* names[] = {"alice", "bob", "carol"};
   for (VertexId user = 0; user < 3; ++user) {
     std::printf("%s reaches downtown: %s, uptown: %s\n", names[user],
-                index.Evaluate(user, downtown) ? "yes" : "no",
-                index.Evaluate(user, uptown) ? "yes" : "no");
+                index.Evaluate(user, downtown, *scratch) ? "yes" : "no",
+                index.Evaluate(user, uptown, *scratch) ? "yes" : "no");
   }
 
   // 5. Richer questions on the same index: RangeReachCount/Enum project
@@ -67,19 +71,21 @@ int main() {
   //    once — "does anyone alice or carol follows reach uptown?"
   const std::vector<VertexId> friends = {0, 2};  // alice and carol
   std::printf("alice's downtown venues: %llu (enum:",
-              static_cast<unsigned long long>(index.EvaluateCount(0,
-                                                                  downtown)));
-  for (const VertexId venue : index.EvaluateEnum(0, downtown)) {
-    std::printf(" #%u", venue);
-  }
+              static_cast<unsigned long long>(
+                  index.EvaluateCount(0, downtown, *scratch)));
+  std::vector<VertexId> venues;
+  index.EvaluateEnumInto(0, downtown, *scratch, venues);
+  for (const VertexId venue : venues) std::printf(" #%u", venue);
   std::printf(")\n");
   std::printf("any of {alice, carol} reaches uptown: %s\n",
-              index.EvaluateAny(friends, uptown) ? "yes" : "no");
+              index.EvaluateAny(friends, uptown, *scratch) ? "yes" : "no");
 
   // 6. Sanity: the index-free oracle agrees.
   const NaiveBfsMethod oracle(&*network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
   for (VertexId user = 0; user < 3; ++user) {
-    if (index.Evaluate(user, downtown) != oracle.Evaluate(user, downtown)) {
+    if (index.Evaluate(user, downtown, *scratch) !=
+        oracle.Evaluate(user, downtown, *oracle_scratch)) {
       std::fprintf(stderr, "index disagrees with BFS oracle!\n");
       return 1;
     }

@@ -256,11 +256,6 @@ class DynamicRangeReach {
   /// through Snapshot().
   bool Evaluate(VertexId vertex, const Rect& region, Scratch& scratch) const;
 
-  /// Single-threaded convenience overload on an object-owned scratch.
-  bool Evaluate(VertexId vertex, const Rect& region) const {
-    return Evaluate(vertex, region, scratch_);
-  }
-
   /// Collection form over the updated network (count/enum sinks only;
   /// contract in View::CollectInto). Same threading caveats as Evaluate.
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
@@ -329,9 +324,6 @@ class DynamicRangeReach {
   std::shared_ptr<const Base> base_;
   Delta delta_;
   UpdateLog log_;
-
-  // Scratch behind the single-threaded Evaluate overload.
-  mutable Scratch scratch_;
 };
 
 }  // namespace gsr

@@ -309,13 +309,7 @@ bool GeoReachMethod::EvaluateAny(std::span<const VertexId> sources,
 }
 
 void GeoReachMethod::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Scratch& s = static_cast<Scratch&>(scratch);
-  Counters& into = MutableCounters();
-  into.queries += s.counters.queries;
-  into.vertices_visited += s.counters.vertices_visited;
-  into.pruned += s.counters.pruned;
-  s.counters = Counters{};
+  totals_.Drain(static_cast<Scratch&>(scratch).counters);
 }
 
 size_t GeoReachMethod::IndexSizeBytes() const {

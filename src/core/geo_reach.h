@@ -67,6 +67,13 @@ class GeoReachMethod : public RangeReachMethod {
     uint64_t queries = 0;
     uint64_t vertices_visited = 0;  // Components popped by the BFS.
     uint64_t pruned = 0;            // Visits answered kPrune.
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      vertices_visited += o.vertices_visited;
+      pruned += o.pruned;
+      return *this;
+    }
   };
 
   /// Per-thread BFS state (epoch-stamped marks + frontier) and counters.
@@ -100,8 +107,6 @@ class GeoReachMethod : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
 
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
@@ -125,8 +130,12 @@ class GeoReachMethod : public RangeReachMethod {
   };
   ClassCounts CountClasses() const;
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
  private:
   friend struct MethodSnapshotAccess;
@@ -150,16 +159,13 @@ class GeoReachMethod : public RangeReachMethod {
   /// `c` proves no spatial vertex reachable from `c` lies in `region`.
   bool PruneForCollect(ComponentId c, const Rect& region) const;
 
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
   const CondensedNetwork* cn_;
   Options options_;
   HierarchicalGrid grid_;
   std::vector<SpaClass> class_;
   std::vector<Rect> rmbr_;                       // R-vertices (and G, exact)
   std::vector<std::vector<GridCell>> reach_grid_;  // G-vertices
+  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

@@ -59,8 +59,8 @@ class NaiveBfsMethod : public RangeReachMethod {
     });
   }
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
+
+  VertexId num_vertices() const override { return network_->num_vertices(); }
 
   std::string name() const override { return "NaiveBFS"; }
 

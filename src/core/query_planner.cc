@@ -513,20 +513,10 @@ bool PlannedMethod::EvaluateAny(std::span<const VertexId> sources,
 
 void PlannedMethod::DrainScratchCounters(QueryScratch& scratch) const {
   Scratch& s = static_cast<Scratch&>(scratch);
-  // Member counters drain through the members even for the planner's
-  // default scratch — its sub-scratches are not the members' defaults.
   for (size_t m = 0; m < members_.size(); ++m) {
     members_[m]->DrainScratchCounters(*s.member_scratch[m]);
   }
-  if (IsDefaultScratch(scratch)) return;
-  Counters& into = MutableCounters();
-  into.queries += s.counters.queries;
-  into.settled_negative += s.counters.settled_negative;
-  into.settled_positive += s.counters.settled_positive;
-  for (size_t i = 0; i < kKindCount; ++i) {
-    into.routed[i] += s.counters.routed[i];
-  }
-  s.counters = Counters{};
+  totals_.Drain(s.counters);
 }
 
 size_t PlannedMethod::IndexSizeBytes() const {

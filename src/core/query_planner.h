@@ -76,6 +76,14 @@ class PlannedMethod : public RangeReachMethod {
     uint64_t settled_positive = 0;
     /// Routed queries per member kind (indexed by MethodKind).
     std::array<uint64_t, kKindCount> routed{};
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      settled_negative += o.settled_negative;
+      settled_positive += o.settled_positive;
+      for (size_t i = 0; i < kKindCount; ++i) routed[i] += o.routed[i];
+      return *this;
+    }
   };
 
   /// Composite per-thread state: one scratch per member plus the
@@ -117,8 +125,6 @@ class PlannedMethod : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
 
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
@@ -126,8 +132,12 @@ class PlannedMethod : public RangeReachMethod {
 
   size_t IndexSizeBytes() const override;
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
   size_t num_members() const { return members_.size(); }
   const RangeReachMethod& member(size_t i) const { return *members_[i]; }
@@ -182,10 +192,6 @@ class PlannedMethod : public RangeReachMethod {
   /// the deterministic defaults stay).
   void Calibrate();
 
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
   const CondensedNetwork* cn_;
   PlannerOptions options_;
   std::vector<std::unique_ptr<RangeReachMethod>> members_;
@@ -197,6 +203,7 @@ class PlannedMethod : public RangeReachMethod {
   // them (see FinishSetup).
   std::vector<uint32_t> desc_count_;   // |D(c)|, for SocReach.
   std::vector<uint32_t> label_count_;  // |L(c)|, for 3DReach.
+  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

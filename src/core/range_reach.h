@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -49,18 +50,56 @@ class QueryScratch {
   virtual ~QueryScratch() = default;
 };
 
+/// The aggregate cost counters of one method. Scratches fold their
+/// per-query counters in through Drain (a method's DrainScratchCounters);
+/// readers get a copy. Every access takes the mutex, so drains from many
+/// threads may race with readers; drains run once per scratch per batch,
+/// never per query, so the lock stays off the query path. `C` is a plain
+/// counters struct with an operator+=.
+template <typename C>
+class CounterTotals {
+ public:
+  /// Adds `from` to the totals and zeroes it, so a scratch can be
+  /// drained after every batch without double counting.
+  void Drain(C& from) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    totals_ += from;
+    from = C{};
+  }
+  C Get() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return totals_;
+  }
+  void Reset() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    totals_ = C{};
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable C totals_{};
+};
+
 /// Common interface of all RangeReach evaluation methods. Implementations
 /// build their (immutable) index structures in their constructor.
 ///
-/// Thread-safety contract: the scratch overload of Evaluate touches no
-/// method state except through `scratch`, so it is safe to call from many
-/// threads concurrently — each thread owning one scratch from NewScratch.
-/// The two-argument overload is the legacy single-threaded API: it runs on
-/// a method-owned scratch (DefaultScratch) and must not race with itself
-/// or with counter accessors.
+/// Thread-safety contract: there is one way to run a query — Evaluate,
+/// CollectInto, EvaluateAny and their grouped forms, each with a scratch
+/// from NewScratch(). They touch no method state except through that
+/// scratch, so any number of threads may query one method concurrently,
+/// each owning one scratch. Methods that keep aggregate counters fold a
+/// scratch's counters in only through DrainScratchCounters.
+///
+/// Precondition of every query entry point: each query vertex (and every
+/// AnyReach source) is < num_vertices(). A direct call does not check it;
+/// BatchRunner and QueryScheduler validate whole batches up front.
 class RangeReachMethod {
  public:
   virtual ~RangeReachMethod() = default;
+
+  /// Vertices of the network the method answers over; valid query
+  /// vertices are [0, num_vertices()).
+  virtual VertexId num_vertices() const = 0;
 
   /// Answers RangeReach(G, vertex, region) using `scratch` — which must
   /// come from this method's NewScratch() — for all mutable state.
@@ -156,39 +195,16 @@ class RangeReachMethod {
 
   /// Folds the per-query cost counters accumulated in `scratch` into the
   /// method's aggregate counters (the ones its counters() accessor
-  /// exposes, kept on DefaultScratch) and zeroes them in `scratch`, so a
-  /// scratch can be drained after every batch without double counting.
-  /// Calls must be serialized by the caller (BatchRunner drains worker
-  /// scratches one at a time after the batch completes). No-op for
-  /// methods without counters and for the default scratch itself.
+  /// returns a copy of) and zeroes them in `scratch`, so a scratch can be
+  /// drained after every batch without double counting. Safe to call
+  /// concurrently for distinct scratches (the totals are a CounterTotals);
+  /// `scratch` itself must be idle. No-op for methods without counters.
   virtual void DrainScratchCounters(QueryScratch& scratch) const {
     (void)scratch;
   }
 
-  /// Answers RangeReach(G, vertex, region) on the method-owned scratch.
-  /// Single-threaded convenience API; not safe for concurrent callers.
-  bool Evaluate(VertexId vertex, const Rect& region) const {
-    return Evaluate(vertex, region, DefaultScratch());
-  }
-
-  /// Convenience form (non-overload so derived overrides don't hide it).
-  bool EvaluateQuery(const RangeReachQuery& query) const {
-    return Evaluate(query.vertex, query.region);
-  }
-
-  /// Scratch form for callers that already hold one (the batch layer and
-  /// hot example loops — the method-owned default scratch is a shared
-  /// mutable, so hot paths should pass their own).
-  bool EvaluateQuery(const RangeReachQuery& query, QueryScratch& scratch) const {
-    return Evaluate(query.vertex, query.region, scratch);
-  }
-
-  /// RangeReachCount on the method-owned scratch: how many distinct
-  /// spatial vertices inside `region` does `vertex` reach?
-  uint64_t EvaluateCount(VertexId vertex, const Rect& region) const {
-    return EvaluateCount(vertex, region, DefaultScratch());
-  }
-
+  /// RangeReachCount: how many distinct spatial vertices inside `region`
+  /// does `vertex` reach?
   uint64_t EvaluateCount(VertexId vertex, const Rect& region,
                          QueryScratch& scratch) const {
     ResultSink sink = ResultSink::Count();
@@ -196,48 +212,15 @@ class RangeReachMethod {
     return sink.count();
   }
 
-  /// RangeReachEnum on the method-owned scratch: the reachable spatial
-  /// vertices inside `region`, in canonical (ascending) order.
-  std::vector<VertexId> EvaluateEnum(VertexId vertex,
-                                     const Rect& region) const {
-    std::vector<VertexId> out;
-    EvaluateEnumInto(vertex, region, DefaultScratch(), out);
-    return out;
-  }
-
-  /// Allocation-reusing enum form: `out` is cleared, filled, and sorted;
-  /// steady-state callers keep its capacity across queries.
+  /// RangeReachEnum: `out` is cleared, filled with the reachable spatial
+  /// vertices inside `region`, and sorted ascending; steady-state callers
+  /// keep its capacity across queries.
   void EvaluateEnumInto(VertexId vertex, const Rect& region,
                         QueryScratch& scratch,
                         std::vector<VertexId>& out) const {
     ResultSink sink = ResultSink::Enum(&out);
     CollectInto(vertex, region, sink, scratch);
     sink.Finalize();
-  }
-
-  /// AnyReach on the method-owned scratch.
-  bool EvaluateAny(std::span<const VertexId> sources,
-                   const Rect& region) const {
-    return EvaluateAny(sources, region, DefaultScratch());
-  }
-
-  /// Convenience form (non-overload so derived overrides don't hide it).
-  bool EvaluateAnyQuery(const AnyReachQuery& query) const {
-    return EvaluateAny(query.sources, query.region, DefaultScratch());
-  }
-
-  /// The scratch behind the single-threaded API, lazily created. Concrete
-  /// methods keep their aggregate counters here, which is what makes
-  /// counters() reflect both serial calls and drained batch runs. The
-  /// create check is a single predicted-not-taken branch, so convenience
-  /// calls pay no lazy-init cost after the first (no lock, no per-call
-  /// allocation) — but the scratch itself is shared mutable state, which
-  /// is why hot multi-threaded paths pass an explicit NewScratch().
-  QueryScratch& DefaultScratch() const {
-    if (default_scratch_ == nullptr) [[unlikely]] {
-      default_scratch_ = NewScratch();
-    }
-    return *default_scratch_;
   }
 
   /// Attaches the O(1) observation pre-checks (src/labeling/observations)
@@ -272,13 +255,6 @@ class RangeReachMethod {
   /// SPA-graph), excluding the shared network/condensation.
   virtual size_t IndexSizeBytes() const = 0;
 
- protected:
-  /// True when `scratch` is the method-owned default scratch — drain
-  /// implementations use this to skip self-merging.
-  bool IsDefaultScratch(const QueryScratch& scratch) const {
-    return &scratch == default_scratch_.get();
-  }
-
  private:
   static uint64_t NextInstanceId() {
     static std::atomic<uint64_t> next{1};
@@ -286,7 +262,6 @@ class RangeReachMethod {
   }
 
   uint64_t instance_id_ = NextInstanceId();
-  mutable std::unique_ptr<QueryScratch> default_scratch_;
   const Observations* observations_ = nullptr;
 };
 

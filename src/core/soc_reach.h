@@ -49,6 +49,15 @@ class SocReach : public RangeReachMethod {
     uint64_t containment_tests = 0;  // Spatial tests until the first hit.
     uint64_t settled_negative = 0;   // Queries proven FALSE by pre-checks.
     uint64_t settled_positive = 0;   // Queries proven TRUE by pre-checks.
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      descendants += o.descendants;
+      containment_tests += o.containment_tests;
+      settled_negative += o.settled_negative;
+      settled_positive += o.settled_positive;
+      return *this;
+    }
   };
 
   /// Per-thread state: the reusable D(v) buffer plus counters.
@@ -209,22 +218,17 @@ class SocReach : public RangeReachMethod {
     });
   }
 
-  using RangeReachMethod::Evaluate;
 
   void DrainScratchCounters(QueryScratch& scratch) const override {
-    if (IsDefaultScratch(scratch)) return;
-    Scratch& s = static_cast<Scratch&>(scratch);
-    Counters& into = MutableCounters();
-    into.queries += s.counters.queries;
-    into.descendants += s.counters.descendants;
-    into.containment_tests += s.counters.containment_tests;
-    into.settled_negative += s.counters.settled_negative;
-    into.settled_positive += s.counters.settled_positive;
-    s.counters = Counters{};
+    totals_.Drain(static_cast<Scratch&>(scratch).counters);
   }
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
   const Options& options() const { return options_; }
 
@@ -242,13 +246,10 @@ class SocReach : public RangeReachMethod {
            IntervalLabeling labeling)
       : cn_(cn), options_(options), labeling_(std::move(labeling)) {}
 
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
   const CondensedNetwork* cn_;
   Options options_;
   IntervalLabeling labeling_;
+  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

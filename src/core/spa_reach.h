@@ -28,10 +28,10 @@ namespace gsr {
 /// reachability backend is injected by the subclass.
 class SpaReachBase : public RangeReachMethod {
  public:
-  /// Per-query cost counters (accumulated across Evaluate calls; reset
-  /// with ResetCounters). Explains the method's sensitivity to the
-  /// spatial selectivity: every candidate inside the region may cost one
-  /// GReach probe.
+  /// Per-query cost counters (accumulated in the scratch, drained into
+  /// counters(), reset with ResetCounters). Explains the method's
+  /// sensitivity to the spatial selectivity: every candidate inside the
+  /// region may cost one GReach probe.
   struct Counters {
     uint64_t queries = 0;
     uint64_t candidates = 0;    // SRange results materialized.
@@ -40,6 +40,15 @@ class SpaReachBase : public RangeReachMethod {
     /// per-candidate probes settled without touching the backend.
     uint64_t settled_negative = 0;
     uint64_t settled_positive = 0;
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      candidates += o.candidates;
+      greach_calls += o.greach_calls;
+      settled_negative += o.settled_negative;
+      settled_positive += o.settled_positive;
+      return *this;
+    }
   };
 
   /// Per-thread state shared by every spatial-first method: the SRange
@@ -291,24 +300,16 @@ class SpaReachBase : public RangeReachMethod {
     return false;
   }
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
-
   void DrainScratchCounters(QueryScratch& scratch) const override {
-    if (IsDefaultScratch(scratch)) return;
-    Scratch& s = static_cast<Scratch&>(scratch);
-    Counters& into = MutableCounters();
-    into.queries += s.counters.queries;
-    into.candidates += s.counters.candidates;
-    into.greach_calls += s.counters.greach_calls;
-    into.settled_negative += s.counters.settled_negative;
-    into.settled_positive += s.counters.settled_positive;
-    s.counters = Counters{};
-    DrainBackendCounters(s);
+    totals_.Drain(static_cast<Scratch&>(scratch).counters);
   }
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
   std::string name() const override {
     std::string out = base_name_;
@@ -350,19 +351,11 @@ class SpaReachBase : public RangeReachMethod {
     return 0;
   }
 
-  /// Folds backend counters (e.g. BFL's) out of `scratch`; default none.
-  virtual void DrainBackendCounters(Scratch& scratch) const {
-    (void)scratch;
-  }
-
   const CondensedNetwork* cn_;
   CondensedSpatialIndex spatial_index_;
 
  private:
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
+  CounterTotals<Counters> totals_;
   std::string base_name_;
 };
 
@@ -382,7 +375,9 @@ class SpaReachBfl : public SpaReachBase {
   explicit SpaReachBfl(const CondensedNetwork* cn)
       : SpaReachBfl(cn, SccSpatialMode::kReplicate) {}
 
-  /// Adds BFL's pruned-DFS state to the spatial-first scratch.
+  /// Adds BFL's pruned-DFS state (and its tree_hits / filter_rejects /
+  /// dfs_fallbacks counters, which stay in the scratch) to the
+  /// spatial-first scratch.
   struct Scratch : SpaReachBase::Scratch {
     BflIndex::SearchScratch bfl;
   };
@@ -400,14 +395,7 @@ class SpaReachBfl : public SpaReachBase {
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
-    // Serial path: use the index-owned scratch so bfl().counters()
-    // advances live, exactly like standalone BflIndex usage.
-    if (IsDefaultScratch(scratch)) return bfl_.CanReach(from, to);
     return bfl_.CanReach(from, to, static_cast<Scratch&>(scratch).bfl);
-  }
-
-  void DrainBackendCounters(SpaReachBase::Scratch& scratch) const override {
-    bfl_.DrainScratchCounters(static_cast<Scratch&>(scratch).bfl);
   }
 
  private:
@@ -639,7 +627,8 @@ class SpaReachFeline : public SpaReachBase {
   explicit SpaReachFeline(const CondensedNetwork* cn)
       : SpaReachFeline(cn, SccSpatialMode::kReplicate) {}
 
-  /// Adds Feline's guided-DFS state to the spatial-first scratch.
+  /// Adds Feline's guided-DFS state (and its counters, which stay in the
+  /// scratch) to the spatial-first scratch.
   struct Scratch : SpaReachBase::Scratch {
     FelineIndex::SearchScratch feline;
   };
@@ -657,13 +646,7 @@ class SpaReachFeline : public SpaReachBase {
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
-    // Serial path: index-owned scratch keeps feline().counters() live.
-    if (IsDefaultScratch(scratch)) return feline_.CanReach(from, to);
     return feline_.CanReach(from, to, static_cast<Scratch&>(scratch).feline);
-  }
-
-  void DrainBackendCounters(SpaReachBase::Scratch& scratch) const override {
-    feline_.DrainScratchCounters(static_cast<Scratch&>(scratch).feline);
   }
 
  private:

@@ -281,14 +281,7 @@ bool ThreeDReach::EvaluateAny(std::span<const VertexId> sources,
 }
 
 void ThreeDReach::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Counters& from = static_cast<Scratch&>(scratch).counters;
-  Counters& into = MutableCounters();
-  into.queries += from.queries;
-  into.range_queries += from.range_queries;
-  into.settled_negative += from.settled_negative;
-  into.settled_positive += from.settled_positive;
-  from = Counters{};
+  totals_.Drain(static_cast<Scratch&>(scratch).counters);
 }
 
 std::string ThreeDReach::name() const {
@@ -514,13 +507,7 @@ bool ThreeDReachRev::EvaluateAny(std::span<const VertexId> sources,
 }
 
 void ThreeDReachRev::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Counters& from = static_cast<Scratch&>(scratch).counters;
-  Counters& into = MutableCounters();
-  into.queries += from.queries;
-  into.settled_negative += from.settled_negative;
-  into.settled_positive += from.settled_positive;
-  from = Counters{};
+  totals_.Drain(static_cast<Scratch&>(scratch).counters);
 }
 
 std::string ThreeDReachRev::name() const {

@@ -46,6 +46,14 @@ class ThreeDReach : public RangeReachMethod {
     uint64_t range_queries = 0;   // Cuboids issued.
     uint64_t settled_negative = 0;  // Queries proven FALSE by pre-checks.
     uint64_t settled_positive = 0;  // Queries proven TRUE by pre-checks.
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      range_queries += o.range_queries;
+      settled_negative += o.settled_negative;
+      settled_positive += o.settled_positive;
+      return *this;
+    }
   };
 
   /// Per-thread state: counters plus the collection-path dedup marks
@@ -95,8 +103,6 @@ class ThreeDReach : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
 
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
@@ -108,8 +114,12 @@ class ThreeDReach : public RangeReachMethod {
 
   const IntervalLabeling& labeling() const { return labeling_; }
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
  private:
   friend struct MethodSnapshotAccess;
@@ -131,10 +141,6 @@ class ThreeDReach : public RangeReachMethod {
                : boxes_.SizeBytes();
   }
 
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
   const CondensedNetwork* cn_;
   Options options_;
   IntervalLabeling labeling_;
@@ -142,6 +148,10 @@ class ThreeDReach : public RangeReachMethod {
   // packed query-side layout; only the mode's tree is non-empty.
   FrozenRTreePoints3D points_;  // kReplicate: one 3-D point per vertex.
   FrozenRTree3D boxes_;         // kMbr: one flat box per component.
+  // Last, after everything Evaluate reads: touched only by drains, and
+  // placing it between the labeling and the trees measurably slowed the
+  // streaming overlay's base probes.
+  CounterTotals<Counters> totals_;
 };
 
 /// 3DReach-REV, the line-based variant (Section 4.2, second half). It uses
@@ -168,6 +178,13 @@ class ThreeDReachRev : public RangeReachMethod {
     uint64_t queries = 0;
     uint64_t settled_negative = 0;
     uint64_t settled_positive = 0;
+
+    Counters& operator+=(const Counters& o) {
+      queries += o.queries;
+      settled_negative += o.settled_negative;
+      settled_positive += o.settled_positive;
+      return *this;
+    }
   };
 
   /// Per-thread state: counters plus the collection/AnyReach dedup
@@ -212,8 +229,6 @@ class ThreeDReachRev : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-  using RangeReachMethod::Evaluate;
-  using RangeReachMethod::EvaluateAny;
 
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
@@ -226,15 +241,15 @@ class ThreeDReachRev : public RangeReachMethod {
   /// The reversed labeling (post numbers refer to the reversed forest).
   const IntervalLabeling& labeling() const { return labeling_; }
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
+  Counters counters() const { return totals_.Get(); }
+  void ResetCounters() const { totals_.Reset(); }
+
+  VertexId num_vertices() const override {
+    return cn_->network().num_vertices();
+  }
 
  private:
   friend struct MethodSnapshotAccess;
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
 
   /// From-parts constructor used by the snapshot loader. The reversed DAG
   /// is a construction-only artifact (Evaluate never touches it), so a
@@ -254,6 +269,7 @@ class ThreeDReachRev : public RangeReachMethod {
   // mirroring Boost ("segments and boxes are stored in a similar manner"),
   // which is why 3DReach-REV shows no MBR-variant overhead in Table 4.
   FrozenRTree3D rtree_;
+  CounterTotals<Counters> totals_;  // Last, as in ThreeDReach.
 };
 
 }  // namespace gsr

@@ -1,6 +1,8 @@
 #include "exec/batch_runner.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "exec/query_scheduler.h"
 
@@ -19,6 +21,40 @@ void ScratchCache::Ensure(const RangeReachMethod& method, unsigned workers) {
 void ScratchCache::Drain(const RangeReachMethod& method) {
   for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
     method.DrainScratchCounters(*scratch);
+  }
+}
+
+namespace {
+
+[[noreturn]] void ThrowOutOfRange(const RangeReachMethod& method, size_t slot,
+                                  VertexId vertex, const char* what) {
+  throw std::out_of_range(std::string(what) + " " + std::to_string(vertex) +
+                          " in slot " + std::to_string(slot) +
+                          " is out of range: " + method.name() +
+                          " answers over " +
+                          std::to_string(method.num_vertices()) +
+                          " vertices");
+}
+
+}  // namespace
+
+void CheckVertices(const RangeReachMethod& method,
+                   std::span<const RangeReachQuery> queries) {
+  const VertexId n = method.num_vertices();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].vertex >= n) {
+      ThrowOutOfRange(method, i, queries[i].vertex, "query vertex");
+    }
+  }
+}
+
+void CheckVertices(const RangeReachMethod& method,
+                   std::span<const AnyReachQuery> queries) {
+  const VertexId n = method.num_vertices();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (const VertexId source : queries[i].sources) {
+      if (source >= n) ThrowOutOfRange(method, i, source, "AnyReach source");
+    }
   }
 }
 
@@ -98,6 +134,7 @@ BatchRunner::~BatchRunner() = default;
 BatchResult BatchRunner::Run(const RangeReachMethod& method,
                              const std::vector<RangeReachQuery>& queries,
                              const BatchOptions& options) {
+  CheckVertices(method, queries);
   scratches_.Ensure(method, pool_->size());
   BatchResult result =
       SizedBatchResult(queries.size(), options.kind, options.record_latencies);
@@ -116,6 +153,7 @@ BatchResult BatchRunner::Run(const RangeReachMethod& method,
 BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
                                 const std::vector<AnyReachQuery>& queries,
                                 const BatchOptions& options) {
+  CheckVertices(method, queries);
   scratches_.Ensure(method, pool_->size());
   BatchResult result = SizedBatchResult(queries.size(), QueryKind::kBool,
                                         options.record_latencies);

@@ -90,6 +90,16 @@ class FirstError {
   std::exception_ptr error_;
 };
 
+/// Enforces the query-vertex precondition for a whole batch before any
+/// work starts: throws std::out_of_range naming the first slot whose query
+/// vertex (or, for AnyReach, any source) is not below
+/// method.num_vertices(). Run, RunAny and QueryScheduler::Run (behind
+/// RunShared) call it first, so a bad id never reaches an index.
+void CheckVertices(const RangeReachMethod& method,
+                   std::span<const RangeReachQuery> queries);
+void CheckVertices(const RangeReachMethod& method,
+                   std::span<const AnyReachQuery> queries);
+
 /// A BatchResult with answer (and, per kind and `record_latencies`,
 /// count, enum and latency) slots for `n` queries.
 BatchResult SizedBatchResult(size_t n, QueryKind kind, bool record_latencies);
@@ -111,9 +121,14 @@ void EvaluateEach(ThreadPool& pool, const RangeReachMethod& method,
 /// Each pool worker gets its own QueryScratch (created via
 /// method.NewScratch()), so any RangeReachMethod honoring the scratch
 /// contract of core/range_reach.h can be driven from all workers at once.
-/// After every batch the per-worker scratch counters are folded into the
+/// After every batch the per-worker scratch counters are drained into the
 /// method's aggregate counters on the calling thread, so
-/// method.counters() reflects batch work exactly as if it ran serially.
+/// method.counters() reflects batch work exactly as a serial loop on one
+/// scratch followed by one DrainScratchCounters would.
+///
+/// Every entry point first checks each query vertex (and AnyReach source)
+/// against method.num_vertices() and throws std::out_of_range, naming the
+/// slot and the id, before any query runs.
 ///
 /// Scratches are cached across Run() calls for the same method (see
 /// ScratchCache).

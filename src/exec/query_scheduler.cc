@@ -12,6 +12,7 @@ namespace gsr::exec {
 BatchResult QueryScheduler::Run(const RangeReachMethod& method,
                                 const std::vector<RangeReachQuery>& queries,
                                 const SchedulerOptions& options) {
+  CheckVertices(method, queries);
   scratches_.Ensure(method, pool_->size());
   BatchResult result =
       SizedBatchResult(queries.size(), options.kind, options.record_latencies);

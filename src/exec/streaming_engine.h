@@ -69,7 +69,6 @@ class EpochView : public RangeReachMethod {
                        static_cast<Scratch&>(scratch).inner);
   }
 
-  using RangeReachMethod::Evaluate;
 
   std::string name() const override {
     return "DynamicRangeReach@e" + std::to_string(epoch_);
@@ -81,7 +80,7 @@ class EpochView : public RangeReachMethod {
   uint64_t epoch() const { return epoch_; }
   /// The log position this epoch reflects.
   uint64_t position() const { return view_->position; }
-  VertexId num_vertices() const { return view_->num_vertices(); }
+  VertexId num_vertices() const override { return view_->num_vertices(); }
 
  private:
   std::shared_ptr<const DynamicRangeReach::View> view_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -11,6 +13,7 @@
 #include "core/method_factory.h"
 #include "core/soc_reach.h"
 #include "datagen/workload.h"
+#include "exec/streaming_engine.h"
 #include "exec/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -19,9 +22,8 @@ namespace {
 
 /// The execution-layer correctness property: a batch evaluated in
 /// parallel (per-worker scratches, merged counters) must be bit-identical
-/// to the same batch evaluated serially through the classic two-argument
-/// Evaluate. Run this suite under -DGSR_SANITIZE=thread to also certify
-/// the absence of data races.
+/// to the same batch evaluated serially on one scratch. Run this suite
+/// under -DGSR_SANITIZE=thread to also certify the absence of data races.
 
 std::vector<MethodConfig> AllConfigs() {
   std::vector<MethodConfig> configs;
@@ -60,12 +62,13 @@ TEST(BatchRunnerTest, ParallelMatchesSerialForEveryMethod) {
 
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
 
     std::vector<uint8_t> serial;
     serial.reserve(queries.size());
     size_t serial_true = 0;
-    for (const RangeReachQuery& query : queries) {
-      const bool answer = method->EvaluateQuery(query);
+    for (const auto& [vertex, region] : queries) {
+      const bool answer = method->Evaluate(vertex, region, *scratch);
       serial.push_back(answer ? 1 : 0);
       serial_true += answer ? 1 : 0;
     }
@@ -89,9 +92,11 @@ TEST(BatchRunnerTest, CountersMatchSerialTwin) {
 
   const SocReach serial_soc(&cn);
   const SocReach parallel_soc(&cn);
-  for (const RangeReachQuery& query : queries) {
-    (void)serial_soc.EvaluateQuery(query);
+  const auto serial_scratch = serial_soc.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    (void)serial_soc.Evaluate(vertex, region, *serial_scratch);
   }
+  serial_soc.DrainScratchCounters(*serial_scratch);
 
   exec::ThreadPool pool(4);
   exec::BatchRunner runner(&pool);
@@ -154,11 +159,13 @@ TEST(BatchRunnerTest, MethodSwitchMidStreamRebuildsScratchesAndDrainsOnce) {
     (void)runner.Run(parallel_b, queries);
     EXPECT_EQ(runner.cached_scratch_count(), pool.size());
   }
+  const auto twin_scratch = serial_twin.NewScratch();
   for (int round = 0; round < 3; ++round) {
-    for (const RangeReachQuery& query : queries) {
-      (void)serial_twin.EvaluateQuery(query);
+    for (const auto& [vertex, region] : queries) {
+      (void)serial_twin.Evaluate(vertex, region, *twin_scratch);
     }
   }
+  serial_twin.DrainScratchCounters(*twin_scratch);
   EXPECT_EQ(parallel_a.counters().queries, serial_twin.counters().queries);
   EXPECT_EQ(parallel_a.counters().descendants,
             serial_twin.counters().descendants);
@@ -251,6 +258,7 @@ class ThrowingMethod : public RangeReachMethod {
     drained += s.evaluations;
     s.evaluations = 0;
   }
+  VertexId num_vertices() const override { return 100; }
   std::string name() const override { return "Throwing"; }
   size_t IndexSizeBytes() const override { return 1; }
 
@@ -308,8 +316,9 @@ TEST(BatchRunnerTest, DynamicRangeReachParallelReaders) {
 
   std::vector<uint8_t> serial;
   serial.reserve(queries.size());
-  for (const RangeReachQuery& query : queries) {
-    serial.push_back(dynamic.Evaluate(query.vertex, query.region) ? 1 : 0);
+  DynamicRangeReach::Scratch serial_scratch = dynamic.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    serial.push_back(dynamic.Evaluate(vertex, region, serial_scratch) ? 1 : 0);
   }
 
   exec::ThreadPool pool(4);
@@ -325,6 +334,129 @@ TEST(BatchRunnerTest, DynamicRangeReachParallelReaders) {
                       : 0;
   });
   EXPECT_EQ(parallel, serial);
+}
+
+TEST(BatchRunnerTest, OutOfRangeVertexThrowsAtEveryEntryPoint) {
+  // An unchecked id would index past the condensation (SocReach) or trip
+  // a check (the dynamic path). Every batch entry point validates query
+  // vertices and AnyReach sources up front instead, for every kind, on a
+  // static method and on a pinned streaming epoch alike.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(200, 2.0, 0.5, 97);
+  const CondensedNetwork cn(&network);
+  const SocReach soc(&cn);
+  exec::StreamingRangeReach engine(
+      testing::RandomGeoSocialNetwork(200, 2.0, 0.5, 97), nullptr);
+  const std::shared_ptr<const exec::EpochView> epoch = engine.Pin();
+
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  const Rect region(0, 0, 100, 100);
+  const auto expect_out_of_range = [](const auto& run, size_t slot,
+                                      VertexId id) {
+    try {
+      run();
+      ADD_FAILURE() << "no exception for vertex " << id;
+    } catch (const std::out_of_range& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("slot " + std::to_string(slot)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(id)), std::string::npos) << what;
+    }
+  };
+
+  for (const RangeReachMethod* method :
+       {static_cast<const RangeReachMethod*>(&soc),
+        static_cast<const RangeReachMethod*>(epoch.get())}) {
+    ASSERT_EQ(method->num_vertices(), 200u);
+    for (const VertexId bad : {VertexId{200}, VertexId{200000000}}) {
+      const std::vector<RangeReachQuery> queries = {
+          {0, region}, {199, region}, {bad, region}, {1, region}};
+      for (const QueryKind kind :
+           {QueryKind::kBool, QueryKind::kCount, QueryKind::kEnum}) {
+        exec::BatchOptions batch;
+        batch.kind = kind;
+        expect_out_of_range([&] { runner.Run(*method, queries, batch); }, 2,
+                            bad);
+        for (const size_t min_window : {size_t{1}, size_t{100000}}) {
+          exec::SchedulerOptions shared;
+          shared.kind = kind;
+          shared.min_window_to_group = min_window;  // Grouped and bypass.
+          expect_out_of_range(
+              [&] { runner.RunShared(*method, queries, shared); }, 2, bad);
+        }
+      }
+      const std::vector<AnyReachQuery> any = {{{0, 1}, region},
+                                              {{2, bad, 3}, region}};
+      expect_out_of_range([&] { runner.RunAny(*method, any); }, 1, bad);
+    }
+    // A rejected batch leaves the runner usable.
+    const exec::BatchResult ok = runner.Run(*method, {{0, region}});
+    EXPECT_EQ(ok.answers.size(), 1u);
+  }
+}
+
+TEST(BatchRunnerTest, ConcurrentDrainsRaceWithCounterReads) {
+  // The aggregate counters are written only by DrainScratchCounters and
+  // read only through counters(), both under the totals lock: workers
+  // may drain their own scratches while another thread reads, and the
+  // totals still equal a serial one-scratch run of the same queries.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(200, 2.0, 0.5, 29);
+  const CondensedNetwork cn(&network);
+  const std::vector<RangeReachQuery> queries =
+      MixedWorkload(network, 400, 131);
+  const SocReach method(&cn);
+
+  const auto serial_scratch = method.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    (void)method.Evaluate(vertex, region, *serial_scratch);
+  }
+  method.DrainScratchCounters(*serial_scratch);
+  const SocReach::Counters serial = method.counters();
+  ASSERT_EQ(serial.queries, queries.size());
+  method.ResetCounters();
+
+  constexpr size_t kWorkers = 4;
+  exec::ThreadPool pool(kWorkers);
+  std::vector<std::unique_ptr<QueryScratch>> scratches;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    scratches.push_back(method.NewScratch());
+  }
+  std::vector<std::future<void>> done;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    done.push_back(pool.Submit([&, w](unsigned /*worker*/) {
+      for (size_t i = w; i < queries.size(); i += kWorkers) {
+        (void)method.Evaluate(queries[i].vertex, queries[i].region,
+                              *scratches[w]);
+        if (i % 8 == 0) method.DrainScratchCounters(*scratches[w]);
+      }
+      method.DrainScratchCounters(*scratches[w]);
+    }));
+  }
+  // Reads race with the drains; the totals only ever grow.
+  uint64_t last = 0;
+  const auto all_done = [&] {
+    for (const std::future<void>& f : done) {
+      if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        return false;
+      }
+    }
+    return true;
+  };
+  do {
+    const uint64_t now = method.counters().queries;
+    EXPECT_GE(now, last);
+    last = now;
+  } while (!all_done());
+  for (std::future<void>& f : done) f.get();
+
+  const SocReach::Counters totals = method.counters();
+  EXPECT_EQ(totals.queries, serial.queries);
+  EXPECT_EQ(totals.descendants, serial.descendants);
+  EXPECT_EQ(totals.containment_tests, serial.containment_tests);
+  EXPECT_EQ(totals.settled_negative, serial.settled_negative);
+  EXPECT_EQ(totals.settled_positive, serial.settled_positive);
 }
 
 }  // namespace

@@ -54,6 +54,7 @@ TEST(BuildSmokeTest, TwoThreadBuildMatchesSerial) {
 
   // Every method of the final comparison: same index size, same answers.
   const NaiveBfsMethod oracle(&network);
+  const auto oracle_scratch = oracle.NewScratch();
   WorkloadGenerator workload(&network, /*seed=*/4243);
   QuerySpec spec;
   spec.count = 60;
@@ -64,14 +65,18 @@ TEST(BuildSmokeTest, TwoThreadBuildMatchesSerial) {
   for (MethodConfig config : Figure7MethodConfigs()) {
     config.build.num_threads = 1;
     const auto serial = CreateMethod(&cn, config);
+    const auto serial_scratch = serial->NewScratch();
     config.build.num_threads = 2;
     const auto parallel = CreateMethod(&cn, config);
+    const auto parallel_scratch = parallel->NewScratch();
     EXPECT_EQ(parallel->IndexSizeBytes(), serial->IndexSizeBytes())
         << serial->name();
-    for (const RangeReachQuery& query : queries) {
-      const bool expected = oracle.EvaluateQuery(query);
-      ASSERT_EQ(serial->EvaluateQuery(query), expected) << serial->name();
-      ASSERT_EQ(parallel->EvaluateQuery(query), expected) << parallel->name();
+    for (const auto& [vertex, region] : queries) {
+      const bool expected = oracle.Evaluate(vertex, region, *oracle_scratch);
+      ASSERT_EQ(serial->Evaluate(vertex, region, *serial_scratch), expected)
+          << serial->name();
+      ASSERT_EQ(parallel->Evaluate(vertex, region, *parallel_scratch), expected)
+          << parallel->name();
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -47,13 +48,13 @@ class ReferenceNetwork {
   bool RangeReach(VertexId v, const Rect& region) const {
     auto network = Materialize();
     const NaiveBfsMethod oracle(&network);
-    return oracle.Evaluate(v, region);
+    return oracle.Evaluate(v, region, *oracle.NewScratch());
   }
 
   std::vector<VertexId> RangeReachEnum(VertexId v, const Rect& region) const {
     auto network = Materialize();
     const NaiveBfsMethod oracle(&network);
-    return oracle.EvaluateEnum(v, region);
+    return testing::EnumOf(oracle, v, region, *oracle.NewScratch());
   }
 
  private:
@@ -75,8 +76,10 @@ TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(100, 2.0, 0.4, 61);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(100, 2.0, 0.4,
                                                             61)};
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   Rng rng(62);
   for (int q = 0; q < 100; ++q) {
     const VertexId v =
@@ -84,7 +87,8 @@ TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    EXPECT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+    EXPECT_EQ(dynamic.Evaluate(v, region, scratch),
+              oracle.Evaluate(v, region, *oracle_scratch));
   }
 }
 
@@ -100,20 +104,22 @@ TEST(DynamicRangeReachTest, NewVenueBecomesReachable) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const Rect cafe_area(0, 0, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area));
+  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));
 
   const VertexId cafe = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area));  // No check-in yet.
+  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));  // No check-in yet.
   ASSERT_TRUE(dynamic.AddEdge(1, cafe).ok());
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area));   // alice -> bob -> cafe.
-  EXPECT_TRUE(dynamic.Evaluate(1, cafe_area));
-  EXPECT_TRUE(dynamic.Evaluate(cafe, cafe_area));  // The cafe itself.
+  // alice -> bob -> cafe.
+  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(1, cafe_area, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(cafe, cafe_area, scratch));  // The cafe itself.
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area));
-  EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30)));
+  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30), scratch));
 }
 
 TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
@@ -130,11 +136,13 @@ TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const Rect around_3(8, 8, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, around_3));
+  EXPECT_FALSE(dynamic.Evaluate(0, around_3, scratch));
   ASSERT_TRUE(dynamic.AddEdge(0, 2).ok());
-  EXPECT_TRUE(dynamic.Evaluate(0, around_3));  // 0 -> 2 -> 3.
-  EXPECT_FALSE(dynamic.Evaluate(2, Rect(0, 0, 2, 2)));  // No reverse path.
+  EXPECT_TRUE(dynamic.Evaluate(0, around_3, scratch));  // 0 -> 2 -> 3.
+  // No reverse path.
+  EXPECT_FALSE(dynamic.Evaluate(2, Rect(0, 0, 2, 2), scratch));
 }
 
 TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
@@ -151,12 +159,13 @@ TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const Rect target(4, 4, 6, 6);
-  EXPECT_FALSE(dynamic.Evaluate(0, target));
+  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
   ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // 0 ->base 1 ->delta 2.
-  EXPECT_FALSE(dynamic.Evaluate(0, target));
+  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
   ASSERT_TRUE(dynamic.AddEdge(3, 4).ok());  // ... ->base 3 ->delta 4 ->base 5.
-  EXPECT_TRUE(dynamic.Evaluate(0, target));
+  EXPECT_TRUE(dynamic.Evaluate(0, target, scratch));
 }
 
 TEST(DynamicRangeReachTest, RejectsOutOfRangeEdges) {
@@ -183,23 +192,25 @@ TEST(DynamicRangeReachTest, PointMoveLeavesAndEntersRegions) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const Rect downtown(0, 0, 10, 10);
   const Rect uptown(90, 90, 100, 100);
-  EXPECT_TRUE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_TRUE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 
   ASSERT_TRUE(dynamic.SetPoint(1, Point2D{95, 95}).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));  // Stale base point ignored.
-  EXPECT_TRUE(dynamic.Evaluate(0, uptown));
+  // Stale base point ignored.
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(0, uptown, scratch));
 
   ASSERT_TRUE(dynamic.ClearPoint(1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 }
 
 TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
@@ -217,21 +228,23 @@ TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const Rect venue(4, 4, 6, 6);
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
 
   ASSERT_TRUE(dynamic.DeleteEdge(1, 2).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
-  EXPECT_FALSE(dynamic.Evaluate(1, venue));
-  EXPECT_TRUE(dynamic.Evaluate(2, venue));  // The venue still sees itself.
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(1, venue, scratch));
+  // The venue still sees itself.
+  EXPECT_TRUE(dynamic.Evaluate(2, venue, scratch));
 
   ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // Flip back: un-deletes.
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
   EXPECT_EQ(dynamic.pending_updates(), 0u);  // The flip nets out of the delta.
   EXPECT_EQ(dynamic.log_size(), 2u);         // But both updates are logged.
 
   dynamic.Rebuild();
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
 }
 
 TEST(DynamicRangeReachTest, NoOpUpdatesAreNotLogged) {
@@ -261,6 +274,7 @@ TEST(DynamicRangeReachTest, EmptyDeltaDegenerates) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(40, 1.5, 0.4, 17);
   const NaiveBfsMethod oracle(&base);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(40, 1.5, 0.4, 17)};
 
   // Rebuild with an empty delta is a no-op (same base object).
@@ -278,7 +292,8 @@ TEST(DynamicRangeReachTest, EmptyDeltaDegenerates) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    EXPECT_EQ(view->Evaluate(v, region, scratch), oracle.Evaluate(v, region));
+    EXPECT_EQ(view->Evaluate(v, region, scratch),
+              oracle.Evaluate(v, region, *oracle_scratch));
   }
 }
 
@@ -290,26 +305,28 @@ TEST(DynamicRangeReachTest, DeltaOnlyVertexIsQueryable) {
       std::move(graph).value(), std::vector<std::optional<Point2D>>(1));
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
 
   const VertexId lonely = dynamic.AddVertex(std::nullopt);
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 100, 100)));
+  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 100, 100), scratch));
 
   const VertexId venue = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(0, 0, 10, 10)));
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 10, 10)));
+  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(0, 0, 10, 10), scratch));
+  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
+  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 10, 10), scratch));
 
   // Points of delta-only vertices can move and clear too.
   ASSERT_TRUE(dynamic.SetPoint(venue, Point2D{25, 25}).ok());
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
+  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
   ASSERT_TRUE(dynamic.ClearPoint(venue).ok());
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
+  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
 }
 
 TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23)};
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   const UpdateStreamSpec spec{.count = 40};
   const auto stream = GenerateUpdateStream(base, spec, 99);
   for (const Update& update : stream) {
@@ -325,6 +342,7 @@ TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
   // Full materialization matches the live view: same answers everywhere.
   const GeoSocialNetwork full = dynamic.MaterializeAt(dynamic.log_size());
   const NaiveBfsMethod oracle(&full);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
   Rng rng(24);
   for (int q = 0; q < 80; ++q) {
     const VertexId v =
@@ -332,7 +350,8 @@ TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    ASSERT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+    ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+              oracle.Evaluate(v, region, *oracle_scratch));
   }
 }
 
@@ -346,6 +365,7 @@ TEST(DynamicRangeReachTest, SnapshotViewIsImmutableUnderLaterUpdates) {
   auto network = GeoSocialNetwork::Create(std::move(graph).value(), points);
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
+  DynamicRangeReach::Scratch engine_scratch = dynamic.NewScratch();
 
   const Rect venue(4, 4, 6, 6);
   auto view = dynamic.Snapshot();
@@ -353,12 +373,12 @@ TEST(DynamicRangeReachTest, SnapshotViewIsImmutableUnderLaterUpdates) {
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 
   ASSERT_TRUE(dynamic.DeleteEdge(0, 1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
   // The pinned view still answers at its own position.
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 
   dynamic.Rebuild();  // Hot-swaps the engine's base; view keeps the old one.
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 }
 
@@ -366,6 +386,7 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41)};
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
   // Some delta on top of the base, so the swap happens mid-stream.
   ASSERT_TRUE(dynamic.AddEdge(0, 40).ok());
   ASSERT_TRUE(dynamic.SetPoint(3, Point2D{50, 50}).ok());
@@ -400,6 +421,7 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
     // Installing the swapped base preserves the live delta's answers.
     const GeoSocialNetwork full = dynamic.MaterializeAt(dynamic.log_size());
     const NaiveBfsMethod oracle(&full);
+    const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
     dynamic.InstallBase(*swapped);
     for (int q = 0; q < 50; ++q) {
       const VertexId v =
@@ -407,7 +429,8 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
       const double x = rng.NextDoubleInRange(0, 80);
       const double y = rng.NextDoubleInRange(0, 80);
       const Rect region(x, y, x + 20, y + 20);
-      ASSERT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+                oracle.Evaluate(v, region, *oracle_scratch));
     }
   }
 }
@@ -445,9 +468,11 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
       view->EvaluateEnumInto(v, region, scratch, got);
       ASSERT_EQ(got, expected) << "phase " << phase << " vertex " << v;
 
-      ASSERT_EQ(epoch_view.EvaluateCount(v, region), expected.size())
+      ASSERT_EQ(epoch_view.EvaluateCount(v, region, *method_scratch),
+                expected.size())
           << "phase " << phase << " vertex " << v;
-      ASSERT_EQ(epoch_view.EvaluateEnum(v, region), expected)
+      ASSERT_EQ(testing::EnumOf(epoch_view, v, region, *method_scratch),
+                expected)
           << "phase " << phase << " vertex " << v;
       // Enum and bool must tell the same story.
       ResultSink bool_sink = ResultSink::Bool();
@@ -514,9 +539,9 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
   ReferenceNetwork reference(base);
   DynamicRangeReach dynamic{
       testing::RandomGeoSocialNetwork(60, 1.5, 0.4, seed)};
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
 
   Rng rng(seed * 31 + 7);
-  DynamicRangeReach::Scratch collect_scratch;
   for (int step = 0; step < 80; ++step) {
     // Apply a random update over the full update set.
     const double dice = rng.NextDouble();
@@ -577,18 +602,19 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
       const double y = rng.NextDoubleInRange(-5, 95);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 40),
                         y + rng.NextDoubleInRange(0, 40));
-      ASSERT_EQ(dynamic.Evaluate(v, region), reference.RangeReach(v, region))
+      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+                reference.RangeReach(v, region))
           << "step " << step << " vertex " << v;
       if (q == 0) {
         const std::vector<VertexId> expected =
             reference.RangeReachEnum(v, region);
         std::vector<VertexId> got;
         ResultSink enum_sink = ResultSink::Enum(&got);
-        dynamic.CollectInto(v, region, enum_sink, collect_scratch);
+        dynamic.CollectInto(v, region, enum_sink, scratch);
         enum_sink.Finalize();
         ASSERT_EQ(got, expected) << "step " << step << " vertex " << v;
         ResultSink count_sink = ResultSink::Count();
-        dynamic.CollectInto(v, region, count_sink, collect_scratch);
+        dynamic.CollectInto(v, region, count_sink, scratch);
         ASSERT_EQ(count_sink.count(), expected.size())
             << "step " << step << " vertex " << v;
       }

@@ -36,16 +36,18 @@ TEST(EndToEndTest, SaveLoadIndexQueryPipeline) {
   EXPECT_EQ(cn_generated.num_components(), cn_loaded.num_components());
 
   const ThreeDReach index_generated(&cn_generated);
+  const auto generated_scratch = index_generated.NewScratch();
   const ThreeDReach index_loaded(&cn_loaded);
+  const auto loaded_scratch = index_loaded.NewScratch();
 
   WorkloadGenerator workload(&generated, 42);
   QuerySpec spec;
   spec.count = 300;
   spec.min_out_degree = 1;
   spec.max_out_degree = 1u << 30;
-  for (const RangeReachQuery& query : workload.Generate(spec)) {
-    ASSERT_EQ(index_generated.EvaluateQuery(query),
-              index_loaded.EvaluateQuery(query));
+  for (const auto& [vertex, region] : workload.Generate(spec)) {
+    ASSERT_EQ(index_generated.Evaluate(vertex, region, *generated_scratch),
+              index_loaded.Evaluate(vertex, region, *loaded_scratch));
   }
 
   std::filesystem::remove(prefix + ".edges");
@@ -67,6 +69,7 @@ TEST(EndToEndTest, SelectivityWorkloadAcrossMethods) {
   MethodConfig reference_config;
   reference_config.kind = MethodKind::kNaiveBfs;
   const auto reference = CreateMethod(&cn, reference_config);
+  const auto reference_scratch = reference->NewScratch();
 
   WorkloadGenerator workload(&network, 11);
   for (const double selectivity : PaperSelectivities()) {
@@ -81,9 +84,10 @@ TEST(EndToEndTest, SelectivityWorkloadAcrossMethods) {
       MethodConfig method_config;
       method_config.kind = kind;
       const auto method = CreateMethod(&cn, method_config);
-      for (const RangeReachQuery& query : queries) {
-        ASSERT_EQ(method->EvaluateQuery(query),
-                  reference->EvaluateQuery(query))
+      const auto scratch = method->NewScratch();
+      for (const auto& [vertex, region] : queries) {
+        ASSERT_EQ(method->Evaluate(vertex, region, *scratch),
+                  reference->Evaluate(vertex, region, *reference_scratch))
             << method->name() << " selectivity " << selectivity;
       }
     }

@@ -89,7 +89,9 @@ TEST_P(GeoReachOptionsTest, AgreesWithNaiveUnderAllSettings) {
       testing::RandomGeoSocialNetwork(150, 2.5, 0.4, 29);
   const CondensedNetwork cn(&network);
   const GeoReachMethod geo(&cn, GetParam());
+  const auto geo_scratch = geo.NewScratch();
   const NaiveBfsMethod oracle(&network);
+  const auto oracle_scratch = oracle.NewScratch();
   Rng rng(31);
   for (int q = 0; q < 200; ++q) {
     const VertexId v =
@@ -97,7 +99,8 @@ TEST_P(GeoReachOptionsTest, AgreesWithNaiveUnderAllSettings) {
     const double x = rng.NextDoubleInRange(0, 90);
     const double y = rng.NextDoubleInRange(0, 90);
     const Rect region(x, y, x + 20, y + 20);
-    ASSERT_EQ(geo.Evaluate(v, region), oracle.Evaluate(v, region))
+    ASSERT_EQ(geo.Evaluate(v, region, *geo_scratch),
+              oracle.Evaluate(v, region, *oracle_scratch))
         << "vertex " << v;
   }
 }
@@ -134,10 +137,11 @@ TEST(GeoReachTest, NetworkWithoutSpatialVertices) {
   ASSERT_TRUE(network.ok());
   const CondensedNetwork cn(&*network);
   const GeoReachMethod geo(&cn);
+  const auto geo_scratch = geo.NewScratch();
   const auto counts = geo.CountClasses();
   EXPECT_EQ(counts.b_false, cn.num_components());
   for (VertexId v = 0; v < 5; ++v) {
-    EXPECT_FALSE(geo.Evaluate(v, Rect(-1e9, -1e9, 1e9, 1e9)));
+    EXPECT_FALSE(geo.Evaluate(v, Rect(-1e9, -1e9, 1e9, 1e9), *geo_scratch));
   }
 }
 

@@ -53,6 +53,8 @@ std::vector<MethodConfig> SnapshotableConfigs() {
 void ExpectIdenticalAnswers(const RangeReachMethod& built,
                             const RangeReachMethod& loaded,
                             const GeoSocialNetwork& network, uint64_t seed) {
+  const auto built_scratch = built.NewScratch();
+  const auto loaded_scratch = loaded.NewScratch();
   Rng rng(seed);
   for (int q = 0; q < 200; ++q) {
     const VertexId v =
@@ -61,7 +63,8 @@ void ExpectIdenticalAnswers(const RangeReachMethod& built,
     const double y = rng.NextDoubleInRange(-10, 100);
     const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                       y + rng.NextDoubleInRange(0, 60));
-    ASSERT_EQ(loaded.Evaluate(v, region), built.Evaluate(v, region))
+    ASSERT_EQ(loaded.Evaluate(v, region, *loaded_scratch),
+              built.Evaluate(v, region, *built_scratch))
         << loaded.name() << " diverges on vertex " << v << " region "
         << region.ToString();
   }
@@ -152,6 +155,7 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
     MethodConfig config;
     config.kind = kind;
     const auto built = CreateMethod(&cn, config);
+    const auto built_scratch = built->NewScratch();
     const std::string path = TempPath("method_paged_mt.snap");
     ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
     auto loaded = LoadMethodSnapshot(
@@ -170,7 +174,7 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                         y + rng.NextDoubleInRange(0, 60));
       queries.push_back({v, region});
-      expected.push_back(built->Evaluate(v, region) ? 1 : 0);
+      expected.push_back(built->Evaluate(v, region, *built_scratch) ? 1 : 0);
     }
 
     exec::ThreadPool pool(exec::ThreadPool::DefaultThreads());
@@ -182,7 +186,8 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
       scratches.push_back(method.NewScratch());
     }
     pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned worker) {
-      GSR_CHECK(method.EvaluateQuery(queries[i], *scratches[worker]) ==
+      const auto& [vertex, region] = queries[i];
+      GSR_CHECK(method.Evaluate(vertex, region, *scratches[worker]) ==
                 (expected[i] != 0));
     });
 

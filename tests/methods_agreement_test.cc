@@ -72,11 +72,13 @@ TEST_P(MethodsAgreementTest, AllMethodsMatchNaiveBfs) {
       param.n, param.density, param.spatial_fraction, param.seed);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   std::vector<std::unique_ptr<RangeReachMethod>> methods;
   for (const MethodConfig& config : AllConfigs()) {
     methods.push_back(CreateMethod(&cn, config));
   }
+  const auto scratches = testing::NewScratches(methods);
 
   Rng rng(param.seed ^ 0xABCDEF);
   for (int q = 0; q < 150; ++q) {
@@ -86,9 +88,10 @@ TEST_P(MethodsAgreementTest, AllMethodsMatchNaiveBfs) {
     const double y = rng.NextDoubleInRange(-10, 100);
     const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                       y + rng.NextDoubleInRange(0, 60));
-    const bool expected = oracle.Evaluate(v, region);
-    for (const auto& method : methods) {
-      ASSERT_EQ(method->Evaluate(v, region), expected)
+    const bool expected = oracle.Evaluate(v, region, *oracle_scratch);
+    for (size_t m = 0; m < methods.size(); ++m) {
+      const auto& method = methods[m];
+      ASSERT_EQ(method->Evaluate(v, region, *scratches[m]), expected)
           << method->name() << " disagrees on vertex " << v << " region "
           << region.ToString();
     }
@@ -111,12 +114,14 @@ TEST(MethodsAgreementTest, ParallelBuildsMatchNaiveBfs) {
       testing::RandomGeoSocialNetwork(400, 2.5, 0.4, 41);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
   for (const unsigned threads : {1u, 2u, 8u}) {
     std::vector<std::unique_ptr<RangeReachMethod>> methods;
     for (MethodConfig config : AllConfigs()) {
       config.build.num_threads = threads;
       methods.push_back(CreateMethod(&cn, config));
     }
+    const auto scratches = testing::NewScratches(methods);
     Rng rng(4242);
     for (int q = 0; q < 150; ++q) {
       const VertexId v =
@@ -125,9 +130,10 @@ TEST(MethodsAgreementTest, ParallelBuildsMatchNaiveBfs) {
       const double y = rng.NextDoubleInRange(-10, 100);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                         y + rng.NextDoubleInRange(0, 60));
-      const bool expected = oracle.Evaluate(v, region);
-      for (const auto& method : methods) {
-        ASSERT_EQ(method->Evaluate(v, region), expected)
+      const bool expected = oracle.Evaluate(v, region, *oracle_scratch);
+      for (size_t m = 0; m < methods.size(); ++m) {
+        const auto& method = methods[m];
+        ASSERT_EQ(method->Evaluate(v, region, *scratches[m]), expected)
             << method->name() << " built on " << threads
             << " threads disagrees on vertex " << v << " region "
             << region.ToString();
@@ -149,11 +155,13 @@ TEST(MethodsAgreementTest, SyntheticDatasetsBothRegimes) {
     const GeoSocialNetwork network = GenerateGeoSocialNetwork(config);
     const CondensedNetwork cn(&network);
     const NaiveBfsMethod oracle(&network);
+    const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
     std::vector<std::unique_ptr<RangeReachMethod>> methods;
     for (const MethodConfig& method_config : AllConfigs()) {
       methods.push_back(CreateMethod(&cn, method_config));
     }
+    const auto scratches = testing::NewScratches(methods);
 
     WorkloadGenerator workload(&network, 99);
     QuerySpec spec;
@@ -161,9 +169,12 @@ TEST(MethodsAgreementTest, SyntheticDatasetsBothRegimes) {
     spec.min_out_degree = 1;
     spec.max_out_degree = 1u << 30;
     for (const RangeReachQuery& query : workload.Generate(spec)) {
-      const bool expected = oracle.EvaluateQuery(query);
-      for (const auto& method : methods) {
-        ASSERT_EQ(method->EvaluateQuery(query), expected)
+      const bool expected = oracle.Evaluate(query.vertex, query.region,
+                                            *oracle_scratch);
+      for (size_t m = 0; m < methods.size(); ++m) {
+        const auto& method = methods[m];
+        ASSERT_EQ(method->Evaluate(query.vertex, query.region, *scratches[m]),
+                  expected)
             << method->name() << " core_fraction=" << core_fraction;
       }
     }
@@ -176,8 +187,9 @@ TEST(MethodsAgreementTest, EmptyRegionIsAlwaysFalse) {
   const CondensedNetwork cn(&network);
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
     for (VertexId v = 0; v < network.num_vertices(); v += 5) {
-      EXPECT_FALSE(method->Evaluate(v, Rect())) << method->name();
+      EXPECT_FALSE(method->Evaluate(v, Rect(), *scratch)) << method->name();
     }
   }
 }
@@ -196,8 +208,11 @@ TEST(MethodsAgreementTest, QueryVertexItselfSpatial) {
   const CondensedNetwork cn(&*network);
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
-    EXPECT_TRUE(method->Evaluate(0, Rect(0, 0, 10, 10))) << method->name();
-    EXPECT_FALSE(method->Evaluate(1, Rect(0, 0, 10, 10))) << method->name();
+    const auto scratch = method->NewScratch();
+    EXPECT_TRUE(method->Evaluate(0, Rect(0, 0, 10, 10), *scratch))
+        << method->name();
+    EXPECT_FALSE(method->Evaluate(1, Rect(0, 0, 10, 10), *scratch))
+        << method->name();
   }
 }
 
@@ -212,6 +227,7 @@ TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
       testing::RandomGeoSocialNetwork(200, 2.5, 0.4, 77);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() != '/') dir += '/';
@@ -233,6 +249,7 @@ TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
       methods.push_back(std::move(loaded->method));
     }
   }
+  const auto scratches = testing::NewScratches(methods);
 
   Rng rng(0xFEED);
   for (int q = 0; q < 150; ++q) {
@@ -242,9 +259,10 @@ TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
     const double y = rng.NextDoubleInRange(-10, 100);
     const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                       y + rng.NextDoubleInRange(0, 60));
-    const bool expected = oracle.Evaluate(v, region);
-    for (const auto& method : methods) {
-      ASSERT_EQ(method->Evaluate(v, region), expected)
+    const bool expected = oracle.Evaluate(v, region, *oracle_scratch);
+    for (size_t m = 0; m < methods.size(); ++m) {
+      const auto& method = methods[m];
+      ASSERT_EQ(method->Evaluate(v, region, *scratches[m]), expected)
           << "snapshot-loaded " << method->name() << " disagrees on vertex "
           << v << " region " << region.ToString();
     }
@@ -261,6 +279,7 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
       testing::RandomGeoSocialNetwork(400, 2.5, 0.4, 177);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() != '/') dir += '/';
@@ -282,6 +301,7 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
       ASSERT_TRUE(loaded.ok())
           << built->name() << ": " << loaded.status().ToString();
       ASSERT_NE(loaded->page_cache, nullptr) << built->name();
+      const auto loaded_scratch = loaded->method->NewScratch();
 
       Rng rng(0xBADB00C + config_index);
       for (int q = 0; q < 40; ++q) {
@@ -291,15 +311,15 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
         const double y = rng.NextDoubleInRange(-10, 100);
         const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                           y + rng.NextDoubleInRange(0, 60));
-        ASSERT_EQ(loaded->method->Evaluate(v, region),
-                  oracle.Evaluate(v, region))
+        ASSERT_EQ(loaded->method->Evaluate(v, region, *loaded_scratch),
+                  oracle.Evaluate(v, region, *oracle_scratch))
             << loaded->method->name() << " budget " << budget << " vertex "
             << v << " region " << region.ToString();
-        ASSERT_EQ(loaded->method->EvaluateCount(v, region),
-                  oracle.EvaluateCount(v, region))
+        ASSERT_EQ(loaded->method->EvaluateCount(v, region, *loaded_scratch),
+                  oracle.EvaluateCount(v, region, *oracle_scratch))
             << loaded->method->name() << " budget " << budget;
-        ASSERT_EQ(loaded->method->EvaluateEnum(v, region),
-                  oracle.EvaluateEnum(v, region))
+        ASSERT_EQ(testing::EnumOf(*loaded->method, v, region, *loaded_scratch),
+                  testing::EnumOf(oracle, v, region, *oracle_scratch))
             << loaded->method->name() << " budget " << budget;
       }
 
@@ -326,11 +346,13 @@ TEST(MethodsAgreementTest, AllKernelLevelsMatchNaiveBfs) {
       testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 31);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   std::vector<std::unique_ptr<RangeReachMethod>> methods;
   for (const MethodConfig& config : AllConfigs()) {
     methods.push_back(CreateMethod(&cn, config));
   }
+  const auto scratches = testing::NewScratches(methods);
 
   for (const simd::KernelLevel level :
        {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
@@ -344,9 +366,10 @@ TEST(MethodsAgreementTest, AllKernelLevelsMatchNaiveBfs) {
       const double y = rng.NextDoubleInRange(-10, 100);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                         y + rng.NextDoubleInRange(0, 60));
-      const bool expected = oracle.Evaluate(v, region);
-      for (const auto& method : methods) {
-        ASSERT_EQ(method->Evaluate(v, region), expected)
+      const bool expected = oracle.Evaluate(v, region, *oracle_scratch);
+      for (size_t m = 0; m < methods.size(); ++m) {
+        const auto& method = methods[m];
+        ASSERT_EQ(method->Evaluate(v, region, *scratches[m]), expected)
             << method->name() << " disagrees at kernel level "
             << simd::KernelLevelName(simd::ActiveLevel()) << " on vertex "
             << v << " region " << region.ToString();
@@ -377,10 +400,12 @@ TEST(MethodsAgreementTest, SchedulerSharedExecutionMatchesSerial) {
 
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
     std::vector<uint8_t> serial;
     serial.reserve(queries.size());
     for (const RangeReachQuery& query : queries) {
-      serial.push_back(method->EvaluateQuery(query) ? 1 : 0);
+      serial.push_back(
+          method->Evaluate(query.vertex, query.region, *scratch) ? 1 : 0);
     }
 
     for (const unsigned threads :
@@ -415,11 +440,13 @@ TEST_P(MethodsAgreementTest, CountEnumAndAnyReachMatchNaiveBfs) {
       param.n, param.density, param.spatial_fraction, param.seed);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   std::vector<std::unique_ptr<RangeReachMethod>> methods;
   for (const MethodConfig& config : AllConfigs()) {
     methods.push_back(CreateMethod(&cn, config));
   }
+  const auto scratches = testing::NewScratches(methods);
 
   Rng rng(param.seed ^ 0x5EED);
   for (int q = 0; q < 80; ++q) {
@@ -429,8 +456,10 @@ TEST_P(MethodsAgreementTest, CountEnumAndAnyReachMatchNaiveBfs) {
     const double y = rng.NextDoubleInRange(-10, 100);
     const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                       y + rng.NextDoubleInRange(0, 60));
-    const std::vector<VertexId> expected_enum = oracle.EvaluateEnum(v, region);
-    const uint64_t expected_count = oracle.EvaluateCount(v, region);
+    const std::vector<VertexId> expected_enum =
+        testing::EnumOf(oracle, v, region, *oracle_scratch);
+    const uint64_t expected_count = oracle.EvaluateCount(v, region,
+                                                         *oracle_scratch);
     ASSERT_EQ(expected_count, expected_enum.size());
 
     std::vector<VertexId> sources;
@@ -438,16 +467,20 @@ TEST_P(MethodsAgreementTest, CountEnumAndAnyReachMatchNaiveBfs) {
       sources.push_back(
           static_cast<VertexId>(rng.NextBounded(network.num_vertices())));
     }
-    const bool expected_any = oracle.EvaluateAny(sources, region);
+    const bool expected_any = oracle.EvaluateAny(sources, region,
+                                                 *oracle_scratch);
 
-    for (const auto& method : methods) {
-      ASSERT_EQ(method->EvaluateCount(v, region), expected_count)
+    for (size_t m = 0; m < methods.size(); ++m) {
+      const auto& method = methods[m];
+      ASSERT_EQ(method->EvaluateCount(v, region, *scratches[m]), expected_count)
           << method->name() << " count disagrees on vertex " << v
           << " region " << region.ToString();
-      ASSERT_EQ(method->EvaluateEnum(v, region), expected_enum)
+      ASSERT_EQ(testing::EnumOf(*method, v, region, *scratches[m]),
+                expected_enum)
           << method->name() << " enum disagrees on vertex " << v
           << " region " << region.ToString();
-      ASSERT_EQ(method->EvaluateAny(sources, region), expected_any)
+      ASSERT_EQ(method->EvaluateAny(sources, region, *scratches[m]),
+                expected_any)
           << method->name() << " AnyReach disagrees on region "
           << region.ToString();
     }
@@ -464,6 +497,7 @@ TEST(MethodsAgreementTest, CountEnumMatrixMatchesOracleEverywhere) {
       testing::RandomGeoSocialNetwork(200, 2.5, 0.4, 137);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   WorkloadGenerator workload(&network, 555);
   QuerySpec spec;
@@ -478,8 +512,9 @@ TEST(MethodsAgreementTest, CountEnumMatrixMatchesOracleEverywhere) {
   std::vector<std::vector<VertexId>> expected_enums;
   for (const RangeReachQuery& query : queries) {
     expected_counts.push_back(
-        oracle.EvaluateCount(query.vertex, query.region));
-    expected_enums.push_back(oracle.EvaluateEnum(query.vertex, query.region));
+        oracle.EvaluateCount(query.vertex, query.region, *oracle_scratch));
+    expected_enums.push_back(
+        testing::EnumOf(oracle, query.vertex, query.region, *oracle_scratch));
   }
 
   for (const MethodConfig& config : AllConfigs()) {
@@ -527,6 +562,7 @@ TEST(MethodsAgreementTest, AnyReachMatrixMatchesOracleEverywhere) {
       testing::RandomGeoSocialNetwork(200, 2.5, 0.4, 149);
   const CondensedNetwork cn(&network);
   const NaiveBfsMethod oracle(&network);
+  const std::unique_ptr<QueryScratch> oracle_scratch = oracle.NewScratch();
 
   WorkloadGenerator workload(&network, 777);
   QuerySpec spec;
@@ -538,8 +574,8 @@ TEST(MethodsAgreementTest, AnyReachMatrixMatchesOracleEverywhere) {
   const std::vector<AnyReachQuery> queries = workload.GenerateAnyReach(spec);
 
   std::vector<uint8_t> expected;
-  for (const AnyReachQuery& query : queries) {
-    expected.push_back(oracle.EvaluateAnyQuery(query) ? 1 : 0);
+  for (const auto& [sources, region] : queries) {
+    expected.push_back(oracle.EvaluateAny(sources, region, *oracle_scratch));
   }
 
   for (const MethodConfig& config : AllConfigs()) {

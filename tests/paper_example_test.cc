@@ -34,24 +34,26 @@ TEST_P(PaperExampleTest, FigureOneQueries) {
   MethodConfig config;
   config.kind = GetParam();
   const auto method = CreateMethod(&cn, config);
+  const auto scratch = method->NewScratch();
 
   const Rect region = FigureOneRegion();
-  EXPECT_TRUE(method->Evaluate(kA, region)) << method->name();
-  EXPECT_FALSE(method->Evaluate(kC, region)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kA, region, *scratch)) << method->name();
+  EXPECT_FALSE(method->Evaluate(kC, region, *scratch)) << method->name();
 
   // More pairs derivable from Figure 1: b reaches e (in R); j reaches h
   // (in R); d reaches nothing spatial.
-  EXPECT_TRUE(method->Evaluate(kB, region)) << method->name();
-  EXPECT_TRUE(method->Evaluate(kJ, region)) << method->name();
-  EXPECT_FALSE(method->Evaluate(kD, region)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kB, region, *scratch)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kJ, region, *scratch)) << method->name();
+  EXPECT_FALSE(method->Evaluate(kD, region, *scratch)) << method->name();
 
   // A region covering only f's point: reachable from a (via e), from c
   // (via i) and from j (via g -> i), but not from l (l only reaches h).
   const Rect around_f(0.5, 7.5, 1.5, 8.5);
-  EXPECT_TRUE(method->Evaluate(kA, around_f)) << method->name();
-  EXPECT_TRUE(method->Evaluate(kC, around_f)) << method->name();
-  EXPECT_TRUE(method->Evaluate(kJ, around_f)) << method->name();
-  EXPECT_FALSE(method->Evaluate(testing::kL, around_f)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kA, around_f, *scratch)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kC, around_f, *scratch)) << method->name();
+  EXPECT_TRUE(method->Evaluate(kJ, around_f, *scratch)) << method->name();
+  EXPECT_FALSE(method->Evaluate(testing::kL, around_f, *scratch))
+      << method->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(

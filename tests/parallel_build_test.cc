@@ -152,8 +152,10 @@ TEST(ParallelMethodBuildTest, AllMethodsAnswerLikeTheirSerialBuild) {
   for (MethodConfig config : Figure7MethodConfigs()) {
     config.build.num_threads = 1;
     const auto serial = CreateMethod(&cn, config);
+    const auto serial_scratch = serial->NewScratch();
     config.build.num_threads = 8;
     const auto parallel = CreateMethod(&cn, config);
+    const auto parallel_scratch = parallel->NewScratch();
     EXPECT_EQ(parallel->IndexSizeBytes(), serial->IndexSizeBytes())
         << serial->name();
 
@@ -165,7 +167,8 @@ TEST(ParallelMethodBuildTest, AllMethodsAnswerLikeTheirSerialBuild) {
       const double y = rng.NextDoubleInRange(-10, 100);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
                         y + rng.NextDoubleInRange(0, 60));
-      ASSERT_EQ(parallel->Evaluate(v, region), serial->Evaluate(v, region))
+      ASSERT_EQ(parallel->Evaluate(v, region, *parallel_scratch),
+                serial->Evaluate(v, region, *serial_scratch))
           << serial->name() << " vertex " << v << " region "
           << region.ToString();
     }

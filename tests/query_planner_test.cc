@@ -42,7 +42,9 @@ TEST(QueryPlannerTest, MatchesOracleOnAllQueryKinds) {
         testing::RandomGeoSocialNetwork(200, 2.5, 0.4, seed);
     const CondensedNetwork cn(&network);
     const NaiveBfsMethod oracle(&network);
+    const auto oracle_scratch = oracle.NewScratch();
     const auto planner = CreateMethod(&cn, PlannerConfig());
+    const auto planner_scratch = planner->NewScratch();
 
     Rng rng(seed * 7);
     for (int q = 0; q < 150; ++q) {
@@ -52,18 +54,19 @@ TEST(QueryPlannerTest, MatchesOracleOnAllQueryKinds) {
       const double y = rng.NextDoubleInRange(-10, 100);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 80),
                         y + rng.NextDoubleInRange(0, 80));
-      ASSERT_EQ(planner->Evaluate(v, region), oracle.Evaluate(v, region))
+      ASSERT_EQ(planner->Evaluate(v, region, *planner_scratch),
+                oracle.Evaluate(v, region, *oracle_scratch))
           << "bool diverges on vertex " << v << " region "
           << region.ToString();
-      ASSERT_EQ(planner->EvaluateCount(v, region),
-                oracle.EvaluateCount(v, region));
-      ASSERT_EQ(planner->EvaluateEnum(v, region),
-                oracle.EvaluateEnum(v, region));
+      ASSERT_EQ(planner->EvaluateCount(v, region, *planner_scratch),
+                oracle.EvaluateCount(v, region, *oracle_scratch));
+      ASSERT_EQ(testing::EnumOf(*planner, v, region, *planner_scratch),
+                testing::EnumOf(oracle, v, region, *oracle_scratch));
       const std::vector<VertexId> sources = {
           v, static_cast<VertexId>(rng.NextBounded(network.num_vertices())),
           static_cast<VertexId>(rng.NextBounded(network.num_vertices()))};
-      ASSERT_EQ(planner->EvaluateAny(sources, region),
-                oracle.EvaluateAny(sources, region));
+      ASSERT_EQ(planner->EvaluateAny(sources, region, *planner_scratch),
+                oracle.EvaluateAny(sources, region, *oracle_scratch));
     }
   }
 }
@@ -171,6 +174,7 @@ TEST(QueryPlannerTest, CalibrationProducesFiniteCostModels) {
   MethodConfig config = PlannerConfig();
   config.planner.calibration_samples = 16;
   const auto method = CreateMethod(&cn, config);
+  const auto scratch = method->NewScratch();
   const PlannedMethod& planner = AsPlanner(*method);
   for (size_t i = 0; i < planner.num_members(); ++i) {
     const PlannedMethod::CostModel& model = planner.cost_model(i);
@@ -181,6 +185,7 @@ TEST(QueryPlannerTest, CalibrationProducesFiniteCostModels) {
   }
   // Calibration only changes costs, never answers.
   const NaiveBfsMethod oracle(&network);
+  const auto oracle_scratch = oracle.NewScratch();
   Rng rng(660);
   for (int q = 0; q < 80; ++q) {
     const VertexId v =
@@ -189,7 +194,8 @@ TEST(QueryPlannerTest, CalibrationProducesFiniteCostModels) {
     const double y = rng.NextDoubleInRange(0, 100);
     const Rect region(x, y, x + rng.NextDoubleInRange(0, 40),
                       y + rng.NextDoubleInRange(0, 40));
-    ASSERT_EQ(method->Evaluate(v, region), oracle.Evaluate(v, region));
+    ASSERT_EQ(method->Evaluate(v, region, *scratch),
+              oracle.Evaluate(v, region, *oracle_scratch));
   }
 }
 
@@ -201,38 +207,45 @@ TEST(QueryPlannerTest, StageOneSettlesAndCountsOnFigureOne) {
   const auto method = CreateMethod(&cn, PlannerConfig());
   const PlannedMethod& planner = AsPlanner(*method);
   planner.ResetCounters();
+  const auto scratch = method->NewScratch();
+  // Counters reach the planner's totals only through a drain.
+  const auto counters = [&] {
+    method->DrainScratchCounters(*scratch);
+    return planner.counters();
+  };
 
   const Rect everywhere(-1000, -1000, 1000, 1000);
   const Rect far_away(5000, 5000, 6000, 6000);
 
   // Witness point inside the region: settled TRUE, no routing.
-  EXPECT_TRUE(method->Evaluate(testing::kA, everywhere));
-  EXPECT_EQ(planner.counters().settled_positive, 1u);
+  EXPECT_TRUE(method->Evaluate(testing::kA, everywhere, *scratch));
+  EXPECT_EQ(counters().settled_positive, 1u);
 
   // Histogram proves the far region empty: settled FALSE.
-  EXPECT_FALSE(method->Evaluate(testing::kA, far_away));
-  EXPECT_EQ(planner.counters().settled_negative, 1u);
+  EXPECT_FALSE(method->Evaluate(testing::kA, far_away, *scratch));
+  EXPECT_EQ(counters().settled_negative, 1u);
 
   // k reaches no spatial vertex: settled FALSE for any region.
-  EXPECT_FALSE(method->Evaluate(testing::kK, everywhere));
-  EXPECT_EQ(planner.counters().settled_negative, 2u);
+  EXPECT_FALSE(method->Evaluate(testing::kK, everywhere, *scratch));
+  EXPECT_EQ(counters().settled_negative, 2u);
 
   // Count queries must enumerate even with a witness inside: the region
   // of Figure 1 holds e and h, and the count must come from a routed
   // member, not the witness settle.
   const uint64_t routed_before = [&] {
     uint64_t total = 0;
-    for (const uint64_t r : planner.counters().routed) total += r;
+    for (const uint64_t r : counters().routed) total += r;
     return total;
   }();
-  EXPECT_EQ(method->EvaluateCount(testing::kA, testing::FigureOneRegion()),
+  EXPECT_EQ(method->EvaluateCount(testing::kA, testing::FigureOneRegion(),
+                                  *scratch),
             2u);
-  EXPECT_EQ(planner.counters().settled_positive, 1u);  // Unchanged.
+  EXPECT_EQ(counters().settled_positive, 1u);  // Unchanged.
   uint64_t routed_after = 0;
-  for (const uint64_t r : planner.counters().routed) routed_after += r;
+  for (const uint64_t r : counters().routed) routed_after += r;
   EXPECT_EQ(routed_after, routed_before + 1);
 
-  EXPECT_EQ(planner.counters().queries, 4u);
+  EXPECT_EQ(counters().queries, 4u);
 }
 
 TEST(QueryPlannerTest, ScratchCountersDrainIntoAggregate) {
@@ -275,6 +288,7 @@ TEST(QueryPlannerTest, SnapshotRoundTripPreservesRoutingAndAnswers) {
   MethodConfig config = PlannerConfig();
   config.planner.calibration_samples = 8;
   const auto built = CreateMethod(&cn, config);
+  const auto built_scratch = built->NewScratch();
   const PlannedMethod& built_planner = AsPlanner(*built);
 
   const std::string path = TempPath("planner_roundtrip.snap");
@@ -286,6 +300,7 @@ TEST(QueryPlannerTest, SnapshotRoundTripPreservesRoutingAndAnswers) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->config.kind, MethodKind::kPlanner);
     const PlannedMethod& restored = AsPlanner(*loaded->method);
+    const auto restored_scratch = restored.NewScratch();
 
     ASSERT_EQ(restored.num_members(), built_planner.num_members());
     for (size_t i = 0; i < restored.num_members(); ++i) {
@@ -309,9 +324,10 @@ TEST(QueryPlannerTest, SnapshotRoundTripPreservesRoutingAndAnswers) {
                         y + rng.NextDoubleInRange(0, 60));
       ASSERT_EQ(restored.RouteForTest(v, region),
                 built_planner.RouteForTest(v, region));
-      ASSERT_EQ(restored.Evaluate(v, region), built->Evaluate(v, region));
-      ASSERT_EQ(restored.EvaluateEnum(v, region),
-                built->EvaluateEnum(v, region));
+      ASSERT_EQ(restored.Evaluate(v, region, *restored_scratch),
+                built->Evaluate(v, region, *built_scratch));
+      ASSERT_EQ(testing::EnumOf(restored, v, region, *restored_scratch),
+                testing::EnumOf(*built, v, region, *built_scratch));
     }
   }
 }

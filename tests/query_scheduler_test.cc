@@ -45,8 +45,9 @@ std::vector<uint8_t> SerialAnswers(const RangeReachMethod& method,
                                    const std::vector<RangeReachQuery>& queries) {
   std::vector<uint8_t> answers;
   answers.reserve(queries.size());
-  for (const RangeReachQuery& query : queries) {
-    answers.push_back(method.EvaluateQuery(query) ? 1 : 0);
+  const auto scratch = method.NewScratch();
+  for (const auto& [vertex, region] : queries) {
+    answers.push_back(method.Evaluate(vertex, region, *scratch) ? 1 : 0);
   }
   return answers;
 }
@@ -67,6 +68,7 @@ class ThrowingMethod : public RangeReachMethod {
     return region.Contains(Point2D{static_cast<double>(vertex),
                                    static_cast<double>(vertex)});
   }
+  VertexId num_vertices() const override { return 100; }
   std::string name() const override { return "Throwing"; }
   size_t IndexSizeBytes() const override { return 1; }
 
@@ -247,12 +249,12 @@ TEST(QuerySchedulerTest, WideSpanEvaluateGroupMatchesSerial) {
     MethodConfig config;
     config.kind = kind;
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
     std::vector<bool> expected;
     for (const Rect& region : regions) {
-      expected.push_back(method->Evaluate(vertex, region));
+      expected.push_back(method->Evaluate(vertex, region, *scratch));
     }
 
-    const auto scratch = method->NewScratch();
     // std::vector<bool> has no data(); use a plain bool array for the span.
     std::unique_ptr<bool[]> grouped(new bool[regions.size()]());
     std::span<bool> out(grouped.get(), regions.size());

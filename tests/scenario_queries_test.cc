@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -121,18 +122,19 @@ TEST(ScenarioQueriesTest, FigureOneCountAndEnum) {
 
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
-    EXPECT_EQ(method->EvaluateCount(testing::kA, region), 2u)
+    const auto scratch = method->NewScratch();
+    EXPECT_EQ(method->EvaluateCount(testing::kA, region, *scratch), 2u)
         << method->name();
-    EXPECT_EQ(method->EvaluateEnum(testing::kA, region),
+    EXPECT_EQ(testing::EnumOf(*method, testing::kA, region, *scratch),
               (std::vector<VertexId>{testing::kE, testing::kH}))
         << method->name();
     // c reaches i (outside R) and no venue inside R.
-    EXPECT_EQ(method->EvaluateCount(testing::kC, region), 0u)
+    EXPECT_EQ(method->EvaluateCount(testing::kC, region, *scratch), 0u)
         << method->name();
-    EXPECT_TRUE(method->EvaluateEnum(testing::kC, region).empty())
+    EXPECT_TRUE(testing::EnumOf(*method, testing::kC, region, *scratch).empty())
         << method->name();
     // A spatial vertex reaches itself: e inside R.
-    EXPECT_EQ(method->EvaluateEnum(testing::kE, region),
+    EXPECT_EQ(testing::EnumOf(*method, testing::kE, region, *scratch),
               (std::vector<VertexId>{testing::kE}))
         << method->name();
   }
@@ -145,28 +147,28 @@ TEST(ScenarioQueriesTest, FigureOneAnyReach) {
 
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
+    const auto any = [&](const std::vector<VertexId>& sources) {
+      return method->EvaluateAny(sources, region, *scratch);
+    };
     // c alone: false. {c, b}: b reaches e in R.
-    EXPECT_FALSE(method->EvaluateAnyQuery({{testing::kC}, region}))
-        << method->name();
-    EXPECT_TRUE(
-        method->EvaluateAnyQuery({{testing::kC, testing::kB}, region}))
-        << method->name();
+    EXPECT_FALSE(any({testing::kC})) << method->name();
+    EXPECT_TRUE(any({testing::kC, testing::kB})) << method->name();
     // Empty sources answer false by contract.
-    EXPECT_FALSE(method->EvaluateAnyQuery({{}, region})) << method->name();
+    EXPECT_FALSE(any({})) << method->name();
     // Duplicate sources change nothing.
-    EXPECT_TRUE(method->EvaluateAnyQuery(
-        {{testing::kB, testing::kB, testing::kB}, region}))
+    EXPECT_TRUE(any({testing::kB, testing::kB, testing::kB}))
         << method->name();
-    EXPECT_FALSE(method->EvaluateAnyQuery(
-        {{testing::kC, testing::kC, testing::kC}, region}))
+    EXPECT_FALSE(any({testing::kC, testing::kC, testing::kC}))
         << method->name();
   }
 }
 
 // ---------------------------------------------------------------------
 // Degenerate regions: the default-constructed (inverted) rectangle, a
-// zero-area rect exactly on a venue, and a far-away region must answer
-// consistently for every method, kind, and SCC mode.
+// zero-area rect exactly on a venue, a far-away region, and rectangles
+// with NaN edges must answer consistently for every method, kind, and
+// SCC mode.
 
 TEST(ScenarioQueriesTest, DegenerateRegionsAcrossAllConfigs) {
   const GeoSocialNetwork network =
@@ -180,33 +182,57 @@ TEST(ScenarioQueriesTest, DegenerateRegionsAcrossAllConfigs) {
   const Rect point_region(p.x, p.y, p.x, p.y);
   const Rect empty_region;                              // Inverted: nothing.
   const Rect far_region(1e6, 1e6, 1e6 + 1, 1e6 + 1);    // No venue there.
+  // Every comparison with NaN is false, so no point lies inside a
+  // rectangle with a NaN edge: all of these answer like the empty region.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Rect nan_regions[] = {Rect(nan, nan, nan, nan),
+                              Rect(nan, 0, 1e9, 1e9),
+                              Rect(-1e9, -1e9, nan, 1e9)};
 
   for (const MethodConfig& config : AllConfigs()) {
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
     for (VertexId v = 0; v < network.num_vertices(); v += 37) {
-      EXPECT_FALSE(method->Evaluate(v, empty_region)) << method->name();
-      EXPECT_EQ(method->EvaluateCount(v, empty_region), 0u)
+      EXPECT_FALSE(method->Evaluate(v, empty_region, *scratch))
           << method->name();
-      EXPECT_TRUE(method->EvaluateEnum(v, empty_region).empty())
+      EXPECT_EQ(method->EvaluateCount(v, empty_region, *scratch), 0u)
           << method->name();
-      EXPECT_EQ(method->EvaluateCount(v, far_region), 0u) << method->name();
+      EXPECT_TRUE(testing::EnumOf(*method, v, empty_region, *scratch).empty())
+          << method->name();
+      EXPECT_EQ(method->EvaluateCount(v, far_region, *scratch), 0u)
+          << method->name();
+    }
+    for (const Rect& nan_region : nan_regions) {
+      for (VertexId v = 0; v < network.num_vertices(); ++v) {
+        EXPECT_FALSE(method->Evaluate(v, nan_region, *scratch))
+            << method->name();
+        EXPECT_EQ(method->EvaluateCount(v, nan_region, *scratch), 0u)
+            << method->name();
+        EXPECT_TRUE(testing::EnumOf(*method, v, nan_region, *scratch).empty())
+            << method->name();
+      }
     }
     // The zero-area region contains every venue co-located with `venue`
     // (itself at minimum); the venue trivially reaches itself.
-    EXPECT_TRUE(method->Evaluate(venue, point_region)) << method->name();
-    EXPECT_GE(method->EvaluateCount(venue, point_region), 1u)
+    EXPECT_TRUE(method->Evaluate(venue, point_region, *scratch))
+        << method->name();
+    EXPECT_GE(method->EvaluateCount(venue, point_region, *scratch), 1u)
         << method->name();
     const std::vector<VertexId> enumerated =
-        method->EvaluateEnum(venue, point_region);
+        testing::EnumOf(*method, venue, point_region, *scratch);
     EXPECT_TRUE(std::find(enumerated.begin(), enumerated.end(), venue) !=
                 enumerated.end())
         << method->name();
     // AnyReach over degenerate regions.
     const std::vector<VertexId> sources = {0, venue};
-    EXPECT_FALSE(method->EvaluateAny(sources, empty_region))
+    EXPECT_FALSE(method->EvaluateAny(sources, empty_region, *scratch))
         << method->name();
-    EXPECT_TRUE(method->EvaluateAny(sources, point_region))
+    EXPECT_TRUE(method->EvaluateAny(sources, point_region, *scratch))
         << method->name();
+    for (const Rect& nan_region : nan_regions) {
+      EXPECT_FALSE(method->EvaluateAny(sources, nan_region, *scratch))
+          << method->name();
+    }
   }
 }
 
@@ -215,8 +241,7 @@ TEST(ScenarioQueriesTest, CollectIntoDefaultThrowsForMinimalMethods) {
   // count/enum queries loudly instead of answering wrong.
   class BoolOnlyMethod : public RangeReachMethod {
    public:
-    using RangeReachMethod::Evaluate;
-    using RangeReachMethod::EvaluateAny;
+    VertexId num_vertices() const override { return 2; }
     bool Evaluate(VertexId, const Rect&, QueryScratch&) const override {
       return false;
     }
@@ -224,17 +249,18 @@ TEST(ScenarioQueriesTest, CollectIntoDefaultThrowsForMinimalMethods) {
     size_t IndexSizeBytes() const override { return 0; }
   };
   const BoolOnlyMethod method;
-  EXPECT_THROW((void)method.EvaluateCount(0, Rect(0, 0, 1, 1)),
+  const auto scratch = method.NewScratch();
+  EXPECT_THROW((void)method.EvaluateCount(0, Rect(0, 0, 1, 1), *scratch),
                std::logic_error);
   // The boolean surface still works, including AnyReach's default loop.
-  EXPECT_FALSE(method.Evaluate(0, Rect(0, 0, 1, 1)));
+  EXPECT_FALSE(method.Evaluate(0, Rect(0, 0, 1, 1), *scratch));
   const std::vector<VertexId> sources = {0, 1};
-  EXPECT_FALSE(method.EvaluateAny(sources, Rect(0, 0, 1, 1)));
+  EXPECT_FALSE(method.EvaluateAny(sources, Rect(0, 0, 1, 1), *scratch));
 }
 
 // ---------------------------------------------------------------------
 // Exec-layer plumbing: BatchRunner and the scheduler must deliver the
-// same counts/enums the serial convenience API computes.
+// same counts/enums a serial loop on one scratch computes.
 
 std::vector<RangeReachQuery> MixedWorkload(const GeoSocialNetwork& network,
                                            uint32_t count, uint64_t seed) {
@@ -264,12 +290,14 @@ TEST(ScenarioQueriesTest, BatchRunnerKindsMatchSerial) {
     MethodConfig config;
     config.kind = kind;
     const auto method = CreateMethod(&cn, config);
+    const auto scratch = method->NewScratch();
 
     std::vector<uint64_t> serial_counts;
     std::vector<std::vector<VertexId>> serial_enums;
-    for (const RangeReachQuery& query : queries) {
-      serial_counts.push_back(method->EvaluateCount(query.vertex, query.region));
-      serial_enums.push_back(method->EvaluateEnum(query.vertex, query.region));
+    for (const auto& [vertex, region] : queries) {
+      serial_counts.push_back(method->EvaluateCount(vertex, region, *scratch));
+      serial_enums.push_back(
+          testing::EnumOf(*method, vertex, region, *scratch));
     }
 
     exec::BatchOptions count_options;
@@ -350,9 +378,10 @@ TEST(ScenarioQueriesTest, RunAnyMatchesSerialOracle) {
   const std::vector<AnyReachQuery> queries = workload.GenerateAnyReach(spec);
 
   const NaiveBfsMethod oracle(&network);
+  const auto oracle_scratch = oracle.NewScratch();
   std::vector<uint8_t> expected;
-  for (const AnyReachQuery& query : queries) {
-    expected.push_back(oracle.EvaluateAnyQuery(query) ? 1 : 0);
+  for (const auto& [sources, region] : queries) {
+    expected.push_back(oracle.EvaluateAny(sources, region, *oracle_scratch));
   }
 
   exec::ThreadPool pool(4);

@@ -45,13 +45,14 @@ TEST(StreamingRangeReachTest, StreamAgreesWithOracleAtEveryStep) {
     auto materialized = engine.MaterializeView(*view);
     ASSERT_TRUE(materialized.ok());
     const NaiveBfsMethod oracle(&*materialized);
+    const auto oracle_scratch = oracle.NewScratch();
     auto scratch = view->NewScratch();
     for (int q = 0; q < 10; ++q) {
       const VertexId v =
           static_cast<VertexId>(rng.NextBounded(view->num_vertices()));
       const Rect region = RandomRegion(rng);
       ASSERT_EQ(view->Evaluate(v, region, *scratch),
-                oracle.Evaluate(v, region))
+                oracle.Evaluate(v, region, *oracle_scratch))
           << "update " << i << " vertex " << v;
     }
   }
@@ -85,13 +86,14 @@ TEST(StreamingRangeReachTest, PinnedEpochsAnswerAtTheirOwnPosition) {
     auto materialized = engine.MaterializeView(*view);
     ASSERT_TRUE(materialized.ok());
     const NaiveBfsMethod oracle(&*materialized);
+    const auto oracle_scratch = oracle.NewScratch();
     auto scratch = view->NewScratch();
     for (int q = 0; q < 25; ++q) {
       const VertexId v =
           static_cast<VertexId>(rng.NextBounded(view->num_vertices()));
       const Rect region = RandomRegion(rng);
       ASSERT_EQ(view->Evaluate(v, region, *scratch),
-                oracle.Evaluate(v, region))
+                oracle.Evaluate(v, region, *oracle_scratch))
           << view->name() << " at position " << view->position();
     }
   }
@@ -217,7 +219,9 @@ TEST_P(ReadWhileUpdateTest, ConcurrentReadersSeeExactAnswers) {
             std::move(materialized).value());
       }
       const NaiveBfsMethod oracle(network.get());
-      ASSERT_EQ(sample.answer, oracle.Evaluate(sample.vertex, sample.region))
+      const auto oracle_scratch = oracle.NewScratch();
+      ASSERT_EQ(sample.answer,
+                oracle.Evaluate(sample.vertex, sample.region, *oracle_scratch))
           << "reader " << r << " at position " << sample.position;
       ++verified;
     }

@@ -2,6 +2,7 @@
 #define GSR_TESTS_TEST_UTIL_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -10,9 +11,28 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/geosocial_network.h"
+#include "core/range_reach.h"
 #include "graph/digraph.h"
 
 namespace gsr::testing {
+
+/// RangeReachEnum as a value: the reachable spatial vertices of `vertex`
+/// inside `region`, ascending, evaluated on `scratch`.
+inline std::vector<VertexId> EnumOf(const RangeReachMethod& method,
+                                    VertexId vertex, const Rect& region,
+                                    QueryScratch& scratch) {
+  std::vector<VertexId> out;
+  method.EvaluateEnumInto(vertex, region, scratch, out);
+  return out;
+}
+
+/// One scratch per method, index-aligned with `methods`.
+inline std::vector<std::unique_ptr<QueryScratch>> NewScratches(
+    const std::vector<std::unique_ptr<RangeReachMethod>>& methods) {
+  std::vector<std::unique_ptr<QueryScratch>> scratches;
+  for (const auto& method : methods) scratches.push_back(method->NewScratch());
+  return scratches;
+}
 
 /// A random DAG: edges only go from lower to higher id (then ids are
 /// shuffled implicitly by the caller if needed). `density` is the expected

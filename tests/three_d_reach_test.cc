@@ -38,9 +38,10 @@ TEST(ThreeDReachTest, OneCuboidPerLabel) {
   ASSERT_TRUE(network.ok());
   const CondensedNetwork cn(&*network);
   const ThreeDReach method(&cn);
+  const auto scratch = method.NewScratch();
   EXPECT_EQ(method.labeling().Labels(cn.ComponentOf(0)).size(), 1u);
-  EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2)));
-  EXPECT_FALSE(method.Evaluate(2, Rect(5, 5, 6, 6)));
+  EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2), *scratch));
+  EXPECT_FALSE(method.Evaluate(2, Rect(5, 5, 6, 6), *scratch));
 }
 
 TEST(ThreeDReachRevTest, SingleProbeRegardlessOfAnswer) {
@@ -102,9 +103,12 @@ TEST(ThreeDReachTest, ForestStrategiesAgree) {
       testing::RandomGeoSocialNetwork(150, 2.5, 0.4, 13);
   const CondensedNetwork cn(&network);
   const ThreeDReach dfs(&cn);
+  const auto dfs_scratch = dfs.NewScratch();
   const ThreeDReach bfs(
       &cn, ThreeDReach::Options{.forest_strategy = ForestStrategy::kBfs});
+  const auto bfs_scratch = bfs.NewScratch();
   const NaiveBfsMethod oracle(&network);
+  const auto oracle_scratch = oracle.NewScratch();
   Rng rng(14);
   for (int q = 0; q < 150; ++q) {
     const VertexId v =
@@ -112,9 +116,9 @@ TEST(ThreeDReachTest, ForestStrategiesAgree) {
     const double x = rng.NextDoubleInRange(0, 90);
     const double y = rng.NextDoubleInRange(0, 90);
     const Rect region(x, y, x + 12, y + 12);
-    const bool expected = oracle.Evaluate(v, region);
-    EXPECT_EQ(dfs.Evaluate(v, region), expected);
-    EXPECT_EQ(bfs.Evaluate(v, region), expected);
+    const bool expected = oracle.Evaluate(v, region, *oracle_scratch);
+    EXPECT_EQ(dfs.Evaluate(v, region, *dfs_scratch), expected);
+    EXPECT_EQ(bfs.Evaluate(v, region, *bfs_scratch), expected);
   }
 }
 
@@ -135,14 +139,17 @@ TEST(SpaReachTest, BflCountersAdvanceWithQueries) {
       testing::RandomGeoSocialNetwork(200, 2.5, 0.5, 17);
   const CondensedNetwork cn(&network);
   const SpaReachBfl method(&cn);
-  method.bfl().ResetCounters();
+  const auto scratch = method.NewScratch();
   Rng rng(18);
   for (int q = 0; q < 50; ++q) {
     const double x = rng.NextDoubleInRange(0, 80);
     const Rect region(x, x, x + 20, x + 20);
-    method.Evaluate(static_cast<VertexId>(rng.NextBounded(200)), region);
+    method.Evaluate(static_cast<VertexId>(rng.NextBounded(200)), region,
+                    *scratch);
   }
-  const auto& counters = method.bfl().counters();
+  // BFL's own counters stay in the scratch that ran the probes.
+  const BflIndex::QueryCounters& counters =
+      static_cast<const SpaReachBfl::Scratch&>(*scratch).bfl.counters;
   EXPECT_GT(counters.tree_hits + counters.filter_rejects +
                 counters.dfs_fallbacks,
             0u);
@@ -159,11 +166,13 @@ TEST(SocReachTest, DescendantsDriveCost) {
   ASSERT_TRUE(network.ok());
   const CondensedNetwork cn(&*network);
   const SocReach method(&cn);
+  const auto scratch = method.NewScratch();
   EXPECT_EQ(method.labeling().Descendants(cn.ComponentOf(0)).size(), 4u);
   EXPECT_EQ(method.labeling().Descendants(cn.ComponentOf(3)).size(), 1u);
-  EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2)));
-  EXPECT_TRUE(method.Evaluate(3, Rect(0, 0, 2, 2)));  // Venue in region.
-  EXPECT_FALSE(method.Evaluate(3, Rect(5, 5, 6, 6)));
+  EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2), *scratch));
+  // Venue in region.
+  EXPECT_TRUE(method.Evaluate(3, Rect(0, 0, 2, 2), *scratch));
+  EXPECT_FALSE(method.Evaluate(3, Rect(5, 5, 6, 6), *scratch));
 }
 
 }  // namespace
