@@ -49,6 +49,9 @@ std::vector<std::string> SplitCommas(const std::string& value) {
 
 BenchOptions BenchOptions::Parse(int argc, char** argv) {
   BenchOptions options;
+  options.baseline =
+      (std::filesystem::path(GSR_REPO_ROOT) / "BENCH_throughput.json")
+          .string();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {

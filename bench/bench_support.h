@@ -38,7 +38,9 @@ struct BenchOptions {
   std::vector<std::string> datasets = {"foursquare", "gowalla", "weeplaces",
                                        "yelp"};
   unsigned threads = 0;
-  std::string baseline = "BENCH_throughput.json";
+  /// Parse defaults it to the tracked copy at the repo root
+  /// (GSR_REPO_ROOT), so it resolves from any working directory.
+  std::string baseline;
 
   /// Parses argv; aborts with a usage message on unknown flags. A
   /// --kernel override is installed immediately via

@@ -70,8 +70,8 @@ struct Measurement {
 /// Reads the tracked BENCH_throughput.json (the PR-1 baseline) into a
 /// (dataset|method|threads) -> qps map. The file is our own line-per-
 /// measurement format, so a minimal line scan is enough — no JSON
-/// library in the tree. Returns empty (with a note) when missing, e.g.
-/// when running from a build directory.
+/// library in the tree. Returns empty (with a note) when the file is
+/// missing.
 std::map<std::string, double> LoadBaselineQps(const std::string& path) {
   std::map<std::string, double> out;
   std::FILE* f = std::fopen(path.c_str(), "r");

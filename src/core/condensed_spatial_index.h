@@ -54,6 +54,8 @@ class CondensedSpatialIndex {
   CondensedSpatialIndex& operator=(CondensedSpatialIndex&&) = default;
 
   SccSpatialMode mode() const { return mode_; }
+  /// True when the tree was loaded kPaged and its arrays stay on disk.
+  bool paged() const { return points_.paged() || boxes_.paged(); }
 
   /// Calls `fn(component, verified)` for every candidate component whose
   /// spatial entry intersects `region`, until `fn` returns false. When

@@ -1,6 +1,7 @@
 #include "core/dynamic_range_reach.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/check.h"
@@ -14,6 +15,16 @@ std::string BadVertexMessage(const char* what, VertexId a, VertexId b,
                              VertexId n) {
   return std::string(what) + " (" + std::to_string(a) + ", " +
          std::to_string(b) + ") references a vertex >= " + std::to_string(n);
+}
+
+/// A query vertex outside the current network: the same std::out_of_range
+/// the batch entry points throw. Out of line and cold so the read path
+/// keeps only a compare and a call.
+[[noreturn, gnu::cold, gnu::noinline]] void ThrowQueryVertexOutOfRange(
+    VertexId vertex, VertexId n) {
+  throw std::out_of_range("query vertex " + std::to_string(vertex) +
+                          " is out of range: DynamicRangeReach answers over " +
+                          std::to_string(n) + " vertices");
 }
 
 /// Binary search in a sorted (from, to) edge list.
@@ -441,7 +452,7 @@ void DynamicRangeReach::CollectImpl(const Base& base, const Delta& delta,
                                     ResultSink& sink, Scratch& scratch) {
   const VertexId nb = base.num_vertices();
   const VertexId n = nb + static_cast<VertexId>(delta.added_points.size());
-  GSR_CHECK(vertex < n);
+  if (vertex >= n) ThrowQueryVertexOutOfRange(vertex, n);
   GSR_DCHECK(sink.kind() != QueryKind::kBool);
 
   if (delta.risky()) {
@@ -586,7 +597,7 @@ bool DynamicRangeReach::EvaluateImpl(const Base& base, const Delta& delta,
                                      Scratch& scratch) {
   const VertexId n =
       base.num_vertices() + static_cast<VertexId>(delta.added_points.size());
-  GSR_CHECK(vertex < n);
+  if (vertex >= n) ThrowQueryVertexOutOfRange(vertex, n);
   if (!OptimisticEvaluate(base, delta, vertex, region, scratch)) {
     // The optimistic search over-approximates, so FALSE is always exact.
     return false;

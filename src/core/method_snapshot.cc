@@ -1,5 +1,6 @@
 #include "core/method_snapshot.h"
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -130,105 +131,52 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
   return config;
 }
 
-/// A labeling loaded for a method over `cn` must label exactly the
-/// condensation's components.
-Status CheckLabelingSize(const IntervalLabeling& labeling,
-                         const CondensedNetwork& cn) {
-  if (labeling.num_vertices() != cn.num_components()) {
-    return Status::InvalidArgument(
-        "snapshot labeling does not match the condensation size");
+/// Serializes one index component. A structure loaded in kPaged mode
+/// serves its arrays from the snapshot file through the page cache and
+/// holds no in-memory copy to write, so it cannot be saved again.
+template <typename Part>
+Status SavePart(const Part& part, BinaryWriter& w) {
+  if constexpr (requires { part.paged(); }) {
+    if (part.paged()) {
+      return Status::FailedPrecondition(
+          "a method loaded in kPaged mode cannot be saved: its index "
+          "arrays live in the snapshot file, not in memory");
+    }
   }
+  part.SerializeTo(w);
   return Status::Ok();
 }
+
+/// The stream one index component is read from, with the context it
+/// deserializes under.
+struct ComponentStream {
+  BinaryReader* reader;
+  BorrowContext ctx;
+};
+
+/// Hand out the writer / reader for a method's next index component: a
+/// standalone snapshot gives each component its own section, a planner
+/// member shares the kPlanner stream and ignores the id.
+using NextComponent = std::function<BinaryWriter&(SectionId)>;
+using OpenComponent = std::function<Result<ComponentStream>(SectionId)>;
 
 }  // namespace
 
 /// Friend of every method class: reads private index members for saving
 /// and invokes the private from-parts constructors for loading.
 struct MethodSnapshotAccess {
+  using MethodPtr = std::unique_ptr<RangeReachMethod>;
+
   static Status Save(const RangeReachMethod& method,
                      const MethodConfig& config, const CondensedNetwork& cn,
                      const std::string& path, exec::ThreadPool* pool) {
     SnapshotWriter writer;
     WriteMeta(writer.BeginSection(SectionId::kMeta), config, cn);
-    switch (config.kind) {
-      case MethodKind::kNaiveBfs:
-        return Status::InvalidArgument(
-            "NaiveBFS is index-free and has no snapshot representation");
-      case MethodKind::kSocReach:
-        static_cast<const SocReach&>(method).labeling_.SerializeTo(
-            writer.BeginSection(SectionId::kLabeling));
-        break;
-      case MethodKind::kSpaReachBfl: {
-        const auto& m = static_cast<const SpaReachBfl&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.bfl_.SerializeTo(writer.BeginSection(SectionId::kBfl));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        const auto& m = static_cast<const SpaReachInt&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        const auto& m = static_cast<const SpaReachPll&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.pll_.SerializeTo(writer.BeginSection(SectionId::kPll));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        const auto& m = static_cast<const SpaReachFeline&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.feline_.SerializeTo(writer.BeginSection(SectionId::kFeline));
-        break;
-      }
-      case MethodKind::kGeoReach:
-        SaveGeoReach(static_cast<const GeoReachMethod&>(method),
-                     writer.BeginSection(SectionId::kGeoReach));
-        break;
-      case MethodKind::kThreeDReach: {
-        const auto& m = static_cast<const ThreeDReach&>(method);
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        BinaryWriter& s = writer.BeginSection(SectionId::kRTree);
-        if (config.scc_mode == SccSpatialMode::kReplicate) {
-          m.points_.SerializeTo(s);
-        } else {
-          m.boxes_.SerializeTo(s);
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        const auto& m = static_cast<const ThreeDReachRev&>(method);
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        m.rtree_.SerializeTo(writer.BeginSection(SectionId::kRTree));
-        break;
-      }
-      case MethodKind::kPlanner: {
-        // One section holds the whole portfolio inline: section ids
-        // identify structures, and a planner may own several labelings /
-        // spatial indexes, so per-structure sections would collide.
-        const auto& m = static_cast<const PlannedMethod&>(method);
-        BinaryWriter& s = writer.BeginSection(SectionId::kPlanner);
-        s.WriteU32(static_cast<uint32_t>(m.members_.size()));
-        for (size_t i = 0; i < m.members_.size(); ++i) {
-          s.WriteU32(static_cast<uint32_t>(m.member_kinds_[i]));
-          SaveMemberInline(*m.members_[i], m.member_kinds_[i],
-                           config.scc_mode, s);
-        }
-        m.observations_.SerializeTo(s);
-        m.histogram_.SerializeTo(s);
-        for (const PlannedMethod::CostModel& cm : m.cost_models_) {
-          s.WriteF64(cm.base_ns);
-          s.WriteF64(cm.per_unit_ns);
-        }
-        break;
-      }
-    }
+    GSR_RETURN_IF_ERROR(SaveComponents(
+        method, config.kind, config.scc_mode,
+        [&writer](SectionId id) -> BinaryWriter& {
+          return writer.BeginSection(id);
+        }));
     return writer.WriteFile(path, pool);
   }
 
@@ -248,137 +196,244 @@ struct MethodSnapshotAccess {
     // call): in kPaged mode each carries the section's file offset so
     // pageable structures can record on-disk addresses, and only one
     // section is resident at a time while loading.
-    LoadedMethod out;
-    out.config = *config;
-    out.page_cache = reader->page_cache();
-    switch (config->kind) {
+    BinaryReader section({});
+    const OpenComponent open =
+        [&reader, &section](SectionId id) -> Result<ComponentStream> {
+      auto in = reader->Section(id);
+      if (!in.ok()) return in.status();
+      section = *in;
+      return ComponentStream{&section, reader->borrow_context(id)};
+    };
+    auto method = LoadComponents(open, cn, *config, config->kind);
+    if (!method.ok()) return method.status();
+    return LoadedMethod{std::move(*method), *config, reader->page_cache()};
+  }
+
+ private:
+  /// Writes `method`'s index components in its kind's fixed order, each
+  /// to `next(id)`.
+  static Status SaveComponents(const RangeReachMethod& method,
+                               MethodKind kind, SccSpatialMode scc_mode,
+                               const NextComponent& next) {
+    switch (kind) {
+      case MethodKind::kNaiveBfs:
+        return Status::InvalidArgument(
+            "NaiveBFS is index-free and has no snapshot representation");
+      case MethodKind::kSocReach:
+        return SavePart(static_cast<const SocReach&>(method).labeling_,
+                        next(SectionId::kLabeling));
+      case MethodKind::kSpaReachBfl: {
+        const auto& m = static_cast<const SpaReachBfl&>(method);
+        GSR_RETURN_IF_ERROR(
+            SavePart(m.spatial_index_, next(SectionId::kSpatialIndex)));
+        return SavePart(m.bfl_, next(SectionId::kBfl));
+      }
+      case MethodKind::kSpaReachInt: {
+        const auto& m = static_cast<const SpaReachInt&>(method);
+        GSR_RETURN_IF_ERROR(
+            SavePart(m.spatial_index_, next(SectionId::kSpatialIndex)));
+        return SavePart(m.labeling_, next(SectionId::kLabeling));
+      }
+      case MethodKind::kSpaReachPll: {
+        const auto& m = static_cast<const SpaReachPll&>(method);
+        GSR_RETURN_IF_ERROR(
+            SavePart(m.spatial_index_, next(SectionId::kSpatialIndex)));
+        return SavePart(m.pll_, next(SectionId::kPll));
+      }
+      case MethodKind::kSpaReachFeline: {
+        const auto& m = static_cast<const SpaReachFeline&>(method);
+        GSR_RETURN_IF_ERROR(
+            SavePart(m.spatial_index_, next(SectionId::kSpatialIndex)));
+        return SavePart(m.feline_, next(SectionId::kFeline));
+      }
+      case MethodKind::kGeoReach:
+        SaveGeoReach(static_cast<const GeoReachMethod&>(method),
+                     next(SectionId::kGeoReach));
+        return Status::Ok();
+      case MethodKind::kThreeDReach: {
+        const auto& m = static_cast<const ThreeDReach&>(method);
+        GSR_RETURN_IF_ERROR(SavePart(m.labeling_, next(SectionId::kLabeling)));
+        BinaryWriter& s = next(SectionId::kRTree);
+        return scc_mode == SccSpatialMode::kReplicate ? SavePart(m.points_, s)
+                                                      : SavePart(m.boxes_, s);
+      }
+      case MethodKind::kThreeDReachRev: {
+        const auto& m = static_cast<const ThreeDReachRev&>(method);
+        GSR_RETURN_IF_ERROR(SavePart(m.labeling_, next(SectionId::kLabeling)));
+        return SavePart(m.rtree_, next(SectionId::kRTree));
+      }
+      case MethodKind::kPlanner: {
+        // One section holds the whole portfolio inline: section ids
+        // identify structures, and a planner may own several labelings /
+        // spatial indexes, so per-structure sections would collide.
+        const auto& m = static_cast<const PlannedMethod&>(method);
+        BinaryWriter& s = next(SectionId::kPlanner);
+        const NextComponent inline_next = [&s](SectionId) -> BinaryWriter& {
+          return s;
+        };
+        s.WriteU32(static_cast<uint32_t>(m.members_.size()));
+        for (size_t i = 0; i < m.members_.size(); ++i) {
+          s.WriteU32(static_cast<uint32_t>(m.member_kinds_[i]));
+          GSR_RETURN_IF_ERROR(SaveComponents(*m.members_[i], m.member_kinds_[i],
+                                             scc_mode, inline_next));
+        }
+        m.observations_.SerializeTo(s);
+        m.histogram_.SerializeTo(s);
+        for (const PlannedMethod::CostModel& cm : m.cost_models_) {
+          s.WriteF64(cm.base_ns);
+          s.WriteF64(cm.per_unit_ns);
+        }
+        return Status::Ok();
+      }
+    }
+    return Status::Internal("unknown method kind");
+  }
+
+  /// Reads a `kind` method's index components in SaveComponents' order,
+  /// each from `open(id)`, and assembles the method over `cn`. Every
+  /// component is fully deserialized before the next open: kPaged keeps
+  /// only one section resident.
+  static Result<MethodPtr> LoadComponents(
+      const OpenComponent& open, const CondensedNetwork* cn,
+      const MethodConfig& config, MethodKind kind) {
+    const auto load_labeling = [&]() -> Result<IntervalLabeling> {
+      auto in = open(SectionId::kLabeling);
+      if (!in.ok()) return in.status();
+      auto labeling = IntervalLabeling::Deserialize(*in->reader, in->ctx);
+      if (!labeling.ok()) return labeling.status();
+      // A labeling must label exactly the condensation's components.
+      if (labeling->num_vertices() != cn->num_components()) {
+        return Status::InvalidArgument(
+            "snapshot labeling does not match the condensation size");
+      }
+      return labeling;
+    };
+    const auto load_spatial_index = [&]() -> Result<CondensedSpatialIndex> {
+      auto in = open(SectionId::kSpatialIndex);
+      if (!in.ok()) return in.status();
+      auto index = CondensedSpatialIndex::Deserialize(*in->reader, in->ctx);
+      if (!index.ok()) return index.status();
+      if (index->mode() != config.scc_mode) {
+        return Status::InvalidArgument(
+            "snapshot spatial index disagrees with the meta SCC mode");
+      }
+      return index;
+    };
+
+    switch (kind) {
       case MethodKind::kNaiveBfs:
         return Status::Internal("unreachable: meta rejects NaiveBFS");
       case MethodKind::kSocReach: {
-        auto labeling = LoadLabeling(*reader, *cn);
+        auto labeling = load_labeling();
         if (!labeling.ok()) return labeling.status();
-        out.method.reset(
-            new SocReach(cn, config->soc_reach, std::move(*labeling)));
-        break;
+        return MethodPtr(
+            new SocReach(cn, config.soc_reach, std::move(*labeling)));
       }
       case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
+        auto index = load_spatial_index();
         if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kBfl);
-        if (!section.ok()) return section.status();
-        auto bfl = BflIndex::Deserialize(*section, &cn->dag());
+        auto in = open(SectionId::kBfl);
+        if (!in.ok()) return in.status();
+        auto bfl = BflIndex::Deserialize(*in->reader, &cn->dag());
         if (!bfl.ok()) return bfl.status();
-        out.method.reset(
+        return MethodPtr(
             new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
-        break;
       }
       case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
+        auto index = load_spatial_index();
         if (!index.ok()) return index.status();
-        auto labeling = LoadLabeling(*reader, *cn);
+        auto labeling = load_labeling();
         if (!labeling.ok()) return labeling.status();
-        out.method.reset(
+        return MethodPtr(
             new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
-        break;
       }
       case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
+        auto index = load_spatial_index();
         if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kPll);
-        if (!section.ok()) return section.status();
-        auto pll = PllIndex::Deserialize(*section);
+        auto in = open(SectionId::kPll);
+        if (!in.ok()) return in.status();
+        auto pll = PllIndex::Deserialize(*in->reader);
         if (!pll.ok()) return pll.status();
         if (pll->num_vertices() != cn->num_components()) {
           return Status::InvalidArgument(
               "snapshot PLL index does not match the condensation size");
         }
-        out.method.reset(
+        return MethodPtr(
             new SpaReachPll(cn, std::move(*index), std::move(*pll)));
-        break;
       }
       case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
+        auto index = load_spatial_index();
         if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kFeline);
-        if (!section.ok()) return section.status();
-        auto feline = FelineIndex::Deserialize(*section, &cn->dag());
+        auto in = open(SectionId::kFeline);
+        if (!in.ok()) return in.status();
+        auto feline = FelineIndex::Deserialize(*in->reader, &cn->dag());
         if (!feline.ok()) return feline.status();
-        out.method.reset(
+        return MethodPtr(
             new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
-        break;
       }
       case MethodKind::kGeoReach: {
-        auto method = LoadGeoReach(*reader, cn, *config);
-        if (!method.ok()) return method.status();
-        out.method = std::move(*method);
-        break;
+        auto in = open(SectionId::kGeoReach);
+        if (!in.ok()) return in.status();
+        return LoadGeoReach(*in->reader, cn, config);
       }
       case MethodKind::kThreeDReach: {
-        auto labeling = LoadLabeling(*reader, *cn);
+        auto labeling = load_labeling();
         if (!labeling.ok()) return labeling.status();
-        auto section = reader->Section(SectionId::kRTree);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx = reader->borrow_context(SectionId::kRTree);
-        const ThreeDReach::Options method_options{
-            .scc_mode = config->scc_mode,
-            .forest_strategy = config->forest_strategy};
-        if (config->scc_mode == SccSpatialMode::kReplicate) {
-          auto points = FrozenRTreePoints3D::Deserialize(*section, ctx);
+        auto in = open(SectionId::kRTree);
+        if (!in.ok()) return in.status();
+        const ThreeDReach::Options options{
+            .scc_mode = config.scc_mode,
+            .forest_strategy = config.forest_strategy};
+        if (config.scc_mode == SccSpatialMode::kReplicate) {
+          auto points = FrozenRTreePoints3D::Deserialize(*in->reader, in->ctx);
           if (!points.ok()) return points.status();
-          out.method.reset(new ThreeDReach(cn, method_options,
-                                           std::move(*labeling),
+          return MethodPtr(new ThreeDReach(cn, options, std::move(*labeling),
                                            std::move(*points),
                                            FrozenRTree3D()));
-        } else {
-          auto boxes = FrozenRTree3D::Deserialize(*section, ctx);
-          if (!boxes.ok()) return boxes.status();
-          out.method.reset(new ThreeDReach(cn, method_options,
-                                           std::move(*labeling),
-                                           FrozenRTreePoints3D(),
-                                           std::move(*boxes)));
         }
-        break;
+        auto boxes = FrozenRTree3D::Deserialize(*in->reader, in->ctx);
+        if (!boxes.ok()) return boxes.status();
+        return MethodPtr(new ThreeDReach(cn, options, std::move(*labeling),
+                                         FrozenRTreePoints3D(),
+                                         std::move(*boxes)));
       }
       case MethodKind::kThreeDReachRev: {
-        auto labeling = LoadLabeling(*reader, *cn);
+        auto labeling = load_labeling();
         if (!labeling.ok()) return labeling.status();
-        auto section = reader->Section(SectionId::kRTree);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx = reader->borrow_context(SectionId::kRTree);
-        auto rtree = FrozenRTree3D::Deserialize(*section, ctx);
+        auto in = open(SectionId::kRTree);
+        if (!in.ok()) return in.status();
+        auto rtree = FrozenRTree3D::Deserialize(*in->reader, in->ctx);
         if (!rtree.ok()) return rtree.status();
-        out.method.reset(new ThreeDReachRev(
-            cn, ThreeDReachRev::Options{.scc_mode = config->scc_mode},
+        return MethodPtr(new ThreeDReachRev(
+            cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode},
             std::move(*labeling), std::move(*rtree)));
-        break;
       }
       case MethodKind::kPlanner: {
-        auto section = reader->Section(SectionId::kPlanner);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx =
-            reader->borrow_context(SectionId::kPlanner);
-        BinaryReader& s = *section;
+        auto in = open(SectionId::kPlanner);
+        if (!in.ok()) return in.status();
+        BinaryReader& s = *in->reader;
+        const OpenComponent inline_open = [stream = *in](SectionId) {
+          return Result<ComponentStream>(stream);
+        };
         uint32_t member_count = 0;
         GSR_RETURN_IF_ERROR(s.ReadU32(&member_count));
-        if (member_count != config->planner.portfolio.size()) {
+        if (member_count != config.planner.portfolio.size()) {
           return Status::InvalidArgument(
               "planner snapshot: member count disagrees with meta portfolio");
         }
-        std::vector<std::unique_ptr<RangeReachMethod>> members;
-        std::vector<MethodKind> kinds;
+        std::vector<MethodPtr> members;
         for (uint32_t i = 0; i < member_count; ++i) {
           uint32_t kind_tag = 0;
           GSR_RETURN_IF_ERROR(s.ReadU32(&kind_tag));
-          if (kind_tag !=
-              static_cast<uint32_t>(config->planner.portfolio[i])) {
+          if (kind_tag != static_cast<uint32_t>(config.planner.portfolio[i])) {
             return Status::InvalidArgument(
                 "planner snapshot: member kind disagrees with meta portfolio");
           }
-          const MethodKind member_kind = static_cast<MethodKind>(kind_tag);
-          auto member = LoadMemberInline(s, ctx, cn, *config, member_kind);
+          // ReadMeta admits only fixed methods to the portfolio.
+          auto member = LoadComponents(inline_open, cn, config,
+                                       config.planner.portfolio[i]);
           if (!member.ok()) return member.status();
           members.push_back(std::move(*member));
-          kinds.push_back(member_kind);
         }
         auto observations = Observations::Deserialize(s);
         if (!observations.ok()) return observations.status();
@@ -393,215 +448,18 @@ struct MethodSnapshotAccess {
           GSR_RETURN_IF_ERROR(s.ReadF64(&cm.base_ns));
           GSR_RETURN_IF_ERROR(s.ReadF64(&cm.per_unit_ns));
         }
-        out.method.reset(new PlannedMethod(
-            cn, config->planner, std::move(members), std::move(kinds),
+        return MethodPtr(new PlannedMethod(
+            cn, config.planner, std::move(members), config.planner.portfolio,
             std::move(*observations), std::move(*histogram),
             std::move(cost_models)));
-        break;
       }
     }
-    return out;
+    return Status::Internal("unknown method kind");
   }
 
- private:
-  static Result<IntervalLabeling> LoadLabeling(const SnapshotReader& reader,
-                                               const CondensedNetwork& cn) {
-    auto section = reader.Section(SectionId::kLabeling);
-    if (!section.ok()) return section.status();
-    const BorrowContext ctx = reader.borrow_context(SectionId::kLabeling);
-    auto labeling = IntervalLabeling::Deserialize(*section, ctx);
-    if (!labeling.ok()) return labeling.status();
-    GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, cn));
-    return labeling;
-  }
-
-  /// Planner members live inline in the kPlanner section stream, in a
-  /// fixed per-kind structure order mirrored by LoadMemberInline.
-  static void SaveMemberInline(const RangeReachMethod& method,
-                               MethodKind kind, SccSpatialMode scc_mode,
-                               BinaryWriter& s) {
-    switch (kind) {
-      case MethodKind::kSocReach:
-        static_cast<const SocReach&>(method).labeling_.SerializeTo(s);
-        break;
-      case MethodKind::kSpaReachBfl: {
-        const auto& m = static_cast<const SpaReachBfl&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.bfl_.SerializeTo(s);
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        const auto& m = static_cast<const SpaReachInt&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.labeling_.SerializeTo(s);
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        const auto& m = static_cast<const SpaReachPll&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.pll_.SerializeTo(s);
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        const auto& m = static_cast<const SpaReachFeline&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.feline_.SerializeTo(s);
-        break;
-      }
-      case MethodKind::kGeoReach:
-        SaveGeoReach(static_cast<const GeoReachMethod&>(method), s);
-        break;
-      case MethodKind::kThreeDReach: {
-        const auto& m = static_cast<const ThreeDReach&>(method);
-        m.labeling_.SerializeTo(s);
-        if (scc_mode == SccSpatialMode::kReplicate) {
-          m.points_.SerializeTo(s);
-        } else {
-          m.boxes_.SerializeTo(s);
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        const auto& m = static_cast<const ThreeDReachRev&>(method);
-        m.labeling_.SerializeTo(s);
-        m.rtree_.SerializeTo(s);
-        break;
-      }
-      case MethodKind::kNaiveBfs:
-      case MethodKind::kPlanner:
-        break;  // Excluded from portfolios by construction.
-    }
-  }
-
-  static Result<std::unique_ptr<RangeReachMethod>> LoadMemberInline(
-      BinaryReader& s, const BorrowContext& ctx, const CondensedNetwork* cn,
-      const MethodConfig& config, MethodKind kind) {
-    std::unique_ptr<RangeReachMethod> method;
-    switch (kind) {
-      case MethodKind::kSocReach: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
-        method.reset(new SocReach(cn, config.soc_reach, std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
-        if (!index.ok()) return index.status();
-        auto bfl = BflIndex::Deserialize(s, &cn->dag());
-        if (!bfl.ok()) return bfl.status();
-        method.reset(new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
-        if (!index.ok()) return index.status();
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
-        method.reset(
-            new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
-        if (!index.ok()) return index.status();
-        auto pll = PllIndex::Deserialize(s);
-        if (!pll.ok()) return pll.status();
-        if (pll->num_vertices() != cn->num_components()) {
-          return Status::InvalidArgument(
-              "snapshot PLL index does not match the condensation size");
-        }
-        method.reset(new SpaReachPll(cn, std::move(*index), std::move(*pll)));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
-        if (!index.ok()) return index.status();
-        auto feline = FelineIndex::Deserialize(s, &cn->dag());
-        if (!feline.ok()) return feline.status();
-        method.reset(
-            new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
-        break;
-      }
-      case MethodKind::kGeoReach: {
-        auto loaded = LoadGeoReachFrom(s, cn, config);
-        if (!loaded.ok()) return loaded.status();
-        method = std::move(*loaded);
-        break;
-      }
-      case MethodKind::kThreeDReach: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
-        const ThreeDReach::Options method_options{
-            .scc_mode = config.scc_mode,
-            .forest_strategy = config.forest_strategy};
-        if (config.scc_mode == SccSpatialMode::kReplicate) {
-          auto points = FrozenRTreePoints3D::Deserialize(s, ctx);
-          if (!points.ok()) return points.status();
-          method.reset(new ThreeDReach(cn, method_options,
-                                       std::move(*labeling),
-                                       std::move(*points), FrozenRTree3D()));
-        } else {
-          auto boxes = FrozenRTree3D::Deserialize(s, ctx);
-          if (!boxes.ok()) return boxes.status();
-          method.reset(new ThreeDReach(cn, method_options,
-                                       std::move(*labeling),
-                                       FrozenRTreePoints3D(),
-                                       std::move(*boxes)));
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
-        auto rtree = FrozenRTree3D::Deserialize(s, ctx);
-        if (!rtree.ok()) return rtree.status();
-        method.reset(new ThreeDReachRev(
-            cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode},
-            std::move(*labeling), std::move(*rtree)));
-        break;
-      }
-      case MethodKind::kNaiveBfs:
-      case MethodKind::kPlanner:
-        return Status::InvalidArgument(
-            "planner snapshot: unsupported portfolio member");
-    }
-    return method;
-  }
-
-  static Result<CondensedSpatialIndex> LoadSpatialIndexInline(
-      BinaryReader& s, const BorrowContext& ctx,
-      SccSpatialMode expected_mode) {
-    auto index = CondensedSpatialIndex::Deserialize(s, ctx);
-    if (!index.ok()) return index.status();
-    if (index->mode() != expected_mode) {
-      return Status::InvalidArgument(
-          "snapshot spatial index disagrees with the meta SCC mode");
-    }
-    return index;
-  }
-
-  static Result<CondensedSpatialIndex> LoadSpatialIndex(
-      const SnapshotReader& reader, SccSpatialMode expected_mode) {
-    auto section = reader.Section(SectionId::kSpatialIndex);
-    if (!section.ok()) return section.status();
-    const BorrowContext ctx =
-        reader.borrow_context(SectionId::kSpatialIndex);
-    auto index = CondensedSpatialIndex::Deserialize(*section, ctx);
-    if (!index.ok()) return index.status();
-    if (index->mode() != expected_mode) {
-      return Status::InvalidArgument(
-          "snapshot spatial index disagrees with the meta SCC mode");
-    }
-    return index;
-  }
-
-  /// GeoReach section: class tags, RMBRs, and the ReachGrids as a CSR of
-  /// cells. GridCell has internal padding, so cells are stored as three
-  /// parallel arrays (level/ix/iy) rather than raw structs.
+  /// GeoReach component: class tags, RMBRs, and the ReachGrids as a CSR
+  /// of cells. GridCell has internal padding, so cells are stored as
+  /// three parallel arrays (level/ix/iy) rather than raw structs.
   static void SaveGeoReach(const GeoReachMethod& m, BinaryWriter& s) {
     const size_t n = m.class_.size();
     std::vector<uint8_t> classes(n);
@@ -630,15 +488,7 @@ struct MethodSnapshotAccess {
     s.WriteVector(iys);
   }
 
-  static Result<std::unique_ptr<RangeReachMethod>> LoadGeoReach(
-      const SnapshotReader& reader, const CondensedNetwork* cn,
-      const MethodConfig& config) {
-    auto section = reader.Section(SectionId::kGeoReach);
-    if (!section.ok()) return section.status();
-    return LoadGeoReachFrom(*section, cn, config);
-  }
-
-  static Result<std::unique_ptr<RangeReachMethod>> LoadGeoReachFrom(
+  static Result<MethodPtr> LoadGeoReach(
       BinaryReader& s, const CondensedNetwork* cn,
       const MethodConfig& config) {
     std::vector<uint8_t> classes;
@@ -685,9 +535,9 @@ struct MethodSnapshotAccess {
         reach_grid[c].push_back(GridCell{levels[i], ixs[i], iys[i]});
       }
     }
-    return std::unique_ptr<RangeReachMethod>(
-        new GeoReachMethod(cn, config.geo_reach, std::move(spa_classes),
-                           std::move(rmbr), std::move(reach_grid)));
+    return MethodPtr(new GeoReachMethod(cn, config.geo_reach,
+                                        std::move(spa_classes), std::move(rmbr),
+                                        std::move(reach_grid)));
   }
 };
 

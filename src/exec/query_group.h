@@ -9,10 +9,6 @@
 
 #include "core/range_reach.h"
 
-namespace gsr {
-class GridHistogram;
-}  // namespace gsr
-
 namespace gsr::exec {
 
 /// Knobs for turning an admitted window of queries into shared-work
@@ -30,17 +26,12 @@ struct GroupingOptions {
   /// Group queries that share a query vertex (axis (a): shared labeling /
   /// interval probes). When off, every query forms its own group — the
   /// degenerate scheduler that must behave exactly like BatchRunner.
+  /// When on, a vertex's regions are also ordered by a coarse grid cell
+  /// of their center before splitting into max_group_regions chunks
+  /// (axis (b): spatially close regions land in the same group, so one
+  /// shared R-tree descent prunes them together instead of fanning out
+  /// across the tree).
   bool group_by_vertex = true;
-  /// Order a vertex's regions by a coarse grid cell of their center
-  /// before splitting into max_group_regions chunks (axis (b): spatially
-  /// close regions land in the same group, so one shared R-tree descent
-  /// prunes them together instead of fanning out across the tree).
-  bool group_by_overlap = true;
-  /// Cells per axis of the overlap bucketing grid.
-  int grid_resolution = 64;
-  /// Optional selectivity histogram whose bounds the overlap bucketing
-  /// snaps to; nullptr derives bounds from the window's own regions.
-  const GridHistogram* histogram = nullptr;
 };
 
 /// One shared-work unit: every member query has the same query vertex and

@@ -158,6 +158,8 @@ class IntervalLabeling {
 
   /// The frozen label storage (exposed for tests and size accounting).
   const FlatLabelStore& flat_store() const { return flat_; }
+  /// True when the label intervals were loaded kPaged and stay on disk.
+  bool paged() const { return flat_.paged(); }
 
   const Stats& stats() const { return stats_; }
 

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,6 +122,54 @@ TEST(DynamicRangeReachTest, NewVenueBecomesReachable) {
   EXPECT_EQ(dynamic.pending_updates(), 0u);
   EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
   EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30), scratch));
+}
+
+TEST(DynamicRangeReachTest, OutOfRangeQueryVertexThrows) {
+  // The engine, a pinned View and an EpochView reject a query vertex past
+  // the current network (base plus delta-added vertices) with the
+  // std::out_of_range the batch entry points throw; the last valid id
+  // still answers.
+  GraphBuilder builder;
+  builder.AddEdge(0, 1);
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+  auto network = GeoSocialNetwork::Create(
+      std::move(graph).value(), std::vector<std::optional<Point2D>>(2));
+  ASSERT_TRUE(network.ok());
+  DynamicRangeReach dynamic(std::move(network).value());
+  const VertexId added = dynamic.AddVertex(Point2D{5, 5});
+  const VertexId bad = added + 1;
+  const Rect region(0, 0, 10, 10);
+
+  const auto expect_out_of_range = [bad](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "vertex " << bad << " did not throw";
+    } catch (const std::out_of_range& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "query vertex " + std::to_string(bad) +
+                    " is out of range: DynamicRangeReach answers over " +
+                    std::to_string(bad) + " vertices");
+    }
+  };
+  DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
+  EXPECT_TRUE(dynamic.Evaluate(added, region, scratch));
+  expect_out_of_range([&] { dynamic.Evaluate(bad, region, scratch); });
+  expect_out_of_range([&] {
+    ResultSink sink = ResultSink::Count();
+    dynamic.CollectInto(bad, region, sink, scratch);
+  });
+
+  const auto view = dynamic.Snapshot();
+  EXPECT_TRUE(view->Evaluate(added, region, scratch));
+  expect_out_of_range([&] { view->Evaluate(bad, region, scratch); });
+  expect_out_of_range([&] { view->EvaluateCount(bad, region, scratch); });
+  const exec::EpochView epoch_view(view, /*epoch=*/1);
+  const auto method_scratch = epoch_view.NewScratch();
+  expect_out_of_range(
+      [&] { epoch_view.Evaluate(bad, region, *method_scratch); });
+  expect_out_of_range(
+      [&] { testing::EnumOf(epoch_view, bad, region, *method_scratch); });
 }
 
 TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -361,53 +359,116 @@ TEST(FrozenRTreeGoldenTest, BulkLoadBytesArePinned) {
        0x0ff380db9dac5d67, 0x3ba74c7dfa813d38, 0xb0ea03084a582b07});
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+/// One pinned method snapshot: every snapshot-able kind, both SCC modes
+/// where the kind has a spatial index, and two planners — the default
+/// portfolio, and one holding every fixed kind inline as a member.
+struct GoldenSnapshotCase {
+  MethodKind kind;
+  SccSpatialMode mode;
+  uint64_t golden;
+  std::vector<MethodKind> portfolio = {};  // kPlanner; empty = default.
+};
+
+std::vector<GoldenSnapshotCase> GoldenSnapshotCases() {
+  return {
+      {MethodKind::kThreeDReach, SccSpatialMode::kReplicate,
+       0x95e35dd02caea7aa},
+      {MethodKind::kThreeDReach, SccSpatialMode::kMbr, 0x708e34149727498a},
+      {MethodKind::kThreeDReachRev, SccSpatialMode::kReplicate,
+       0xcb0606eb88362da6},
+      {MethodKind::kSpaReachInt, SccSpatialMode::kReplicate,
+       0x0e312342633130b9},
+      {MethodKind::kSpaReachInt, SccSpatialMode::kMbr, 0x16aec07748127ddf},
+      {MethodKind::kSocReach, SccSpatialMode::kReplicate, 0x25611454d0775d8c},
+      {MethodKind::kSpaReachBfl, SccSpatialMode::kReplicate,
+       0x71b7d9aec8139f85},
+      {MethodKind::kSpaReachPll, SccSpatialMode::kReplicate,
+       0x2b3884d642396ec1},
+      {MethodKind::kSpaReachFeline, SccSpatialMode::kReplicate,
+       0xf564f07f916521c3},
+      {MethodKind::kGeoReach, SccSpatialMode::kReplicate, 0xc56d7d025c7e2ad0},
+      {MethodKind::kThreeDReachRev, SccSpatialMode::kMbr, 0x67d3ad2b41334e98},
+      {MethodKind::kPlanner, SccSpatialMode::kReplicate, 0xc16acff63c3ae9a8},
+      {MethodKind::kPlanner, SccSpatialMode::kMbr, 0x1fbfca3ecb4da83e,
+       {MethodKind::kSpaReachBfl, MethodKind::kSpaReachInt,
+        MethodKind::kSpaReachPll, MethodKind::kSpaReachFeline,
+        MethodKind::kGeoReach, MethodKind::kSocReach,
+        MethodKind::kThreeDReach, MethodKind::kThreeDReachRev}},
+  };
+}
+
+MethodConfig GoldenSnapshotConfig(const GoldenSnapshotCase& c,
+                                  unsigned threads) {
+  MethodConfig config;
+  config.kind = c.kind;
+  config.scc_mode = c.mode;
+  config.build.num_threads = threads;
+  if (c.kind == MethodKind::kPlanner) {
+    // Timed calibration would make the persisted cost models vary run to
+    // run. Set for planners only: the meta section records the planner
+    // options for every kind, so the other files keep the default.
+    config.planner.calibration_samples = 0;
+    if (!c.portfolio.empty()) config.planner.portfolio = c.portfolio;
+  }
+  return config;
+}
+
+std::string TempPath(const std::string& name) {
+  std::string path = ::testing::TempDir();
+  if (!path.empty() && path.back() != '/') path += '/';
+  return path + name;
 }
 
 TEST(FrozenRTreeGoldenTest, MethodSnapshotBytesArePinned) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(600, 3.0, 0.5, 2024);
   const CondensedNetwork cn(&network);
-  struct Case {
-    MethodKind kind;
-    SccSpatialMode mode;
-    uint64_t golden;
-  };
-  const Case cases[] = {
-      {MethodKind::kThreeDReach, SccSpatialMode::kReplicate,
-       0x95e35dd02caea7aa},
-      {MethodKind::kThreeDReach, SccSpatialMode::kMbr,
-       0x708e34149727498a},
-      {MethodKind::kThreeDReachRev, SccSpatialMode::kReplicate,
-       0xcb0606eb88362da6},
-      {MethodKind::kSpaReachInt, SccSpatialMode::kReplicate,
-       0x0e312342633130b9},
-      {MethodKind::kSpaReachInt, SccSpatialMode::kMbr,
-       0x16aec07748127ddf},
-  };
-  std::string path = ::testing::TempDir();
-  if (!path.empty() && path.back() != '/') path += '/';
-  path += "golden_method.snap";
-  for (const Case& c : cases) {
+  const std::string path = TempPath("golden_method.snap");
+  for (const GoldenSnapshotCase& c : GoldenSnapshotCases()) {
     for (const unsigned threads : {1u, 2u, 8u}) {
-      MethodConfig config;
-      config.kind = c.kind;
-      config.scc_mode = c.mode;
-      config.build.num_threads = threads;
+      const MethodConfig config = GoldenSnapshotConfig(c, threads);
       const auto method = CreateMethod(&cn, config);
       ASSERT_TRUE(SaveMethodSnapshot(*method, config, cn, path).ok());
-      const std::string bytes = ReadWholeFile(path);
+      const std::string bytes = testing::ReadWholeFile(path);
       ASSERT_FALSE(bytes.empty());
       const uint64_t hash = XxHash64(bytes.data(), bytes.size());
       EXPECT_EQ(hash, c.golden)
           << method->name() << " mode " << static_cast<int>(c.mode)
-          << " threads " << threads << " got 0x" << std::hex << hash;
+          << " members " << c.portfolio.size() << " threads " << threads
+          << " got 0x" << std::hex << hash;
     }
   }
   std::remove(path.c_str());
+}
+
+// Loading a snapshot and saving the loaded method reproduces the file
+// byte for byte, whether the arrays were copied or borrowed from a map.
+TEST(FrozenRTreeGoldenTest, ResavedMethodSnapshotIsIdentical) {
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(600, 3.0, 0.5, 2024);
+  const CondensedNetwork cn(&network);
+  const std::string path = TempPath("golden_resave_in.snap");
+  const std::string resaved = TempPath("golden_resave_out.snap");
+  for (const GoldenSnapshotCase& c : GoldenSnapshotCases()) {
+    const MethodConfig config = GoldenSnapshotConfig(c, 1);
+    const auto method = CreateMethod(&cn, config);
+    ASSERT_TRUE(SaveMethodSnapshot(*method, config, cn, path).ok());
+    const std::string original = testing::ReadWholeFile(path);
+    for (const snapshot::LoadMode mode :
+         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap}) {
+      auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_TRUE(
+          SaveMethodSnapshot(*loaded->method, loaded->config, cn, resaved)
+              .ok());
+      EXPECT_TRUE(testing::ReadWholeFile(resaved) == original)
+          << method->name() << " mode " << static_cast<int>(c.mode)
+          << " members " << c.portfolio.size() << " load mode "
+          << static_cast<int>(mode);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -195,6 +196,110 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
     EXPECT_GT(stats.misses, 0u) << built->name();
     EXPECT_GT(stats.evictions, 0u) << built->name();
   }
+}
+
+TEST(MethodSnapshotTest, SavingAPagedLoadedMethodFailsCleanly) {
+  // A kPaged-loaded R-tree or labeling keeps its arrays in the file it
+  // was loaded from, so there is nothing in memory to save. GeoReach has
+  // no pageable structure and loads fully resident, so it saves as usual.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 115);
+  const CondensedNetwork cn(&network);
+  std::vector<MethodConfig> configs = SnapshotableConfigs();
+  configs.emplace_back().kind = MethodKind::kPlanner;
+  configs.back().planner.calibration_samples = 0;
+
+  const std::string path = TempPath("method_paged_source.snap");
+  const std::string resaved = TempPath("method_paged_resave.snap");
+  for (const MethodConfig& config : configs) {
+    const auto built = CreateMethod(&cn, config);
+    ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+    auto loaded = LoadMethodSnapshot(
+        &cn, path, {.mode = snapshot::LoadMode::kPaged});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::remove(resaved.c_str());
+    const Status status =
+        SaveMethodSnapshot(*loaded->method, config, cn, resaved);
+    if (config.kind == MethodKind::kGeoReach) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_TRUE(testing::ReadWholeFile(resaved) ==
+                  testing::ReadWholeFile(path));
+      continue;
+    }
+    ASSERT_FALSE(status.ok()) << built->name();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << built->name() << ": " << status.ToString();
+    EXPECT_FALSE(std::ifstream(resaved).good()) << built->name();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MethodSnapshotTest, EverySingleByteFlipFailsOrAnswersUnchanged) {
+  // Exhaustive single-byte corruption of a small v2 3DReach snapshot, in
+  // every load mode. Each flip must either surface as an error Status or
+  // leave a method whose answers match the clean file's — flips that land
+  // in the unchecksummed padding between sections take the second path.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(600, 3.0, 0.5, 117);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kThreeDReach;
+  const auto built = CreateMethod(&cn, config);
+  const std::string path = TempPath("method_corrupt.snap");
+  ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+  const std::string clean = testing::ReadWholeFile(path);
+  ASSERT_GT(clean.size(), 0u);
+
+  Rng rng(118);
+  std::vector<RangeReachQuery> queries;
+  std::vector<bool> expected;
+  const auto built_scratch = built->NewScratch();
+  for (int q = 0; q < 32; ++q) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
+    const double x = rng.NextDoubleInRange(-10, 100);
+    const double y = rng.NextDoubleInRange(-10, 100);
+    const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
+                      y + rng.NextDoubleInRange(0, 60));
+    queries.push_back({v, region});
+    expected.push_back(built->Evaluate(v, region, *built_scratch));
+  }
+
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  size_t rejected = 0;
+  size_t loaded_ok = 0;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    file.seekp(static_cast<std::streamoff>(i));
+    file.put(static_cast<char>(~clean[i]));
+    file.flush();
+    for (const snapshot::LoadMode mode :
+         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
+          snapshot::LoadMode::kPaged}) {
+      auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+      if (!loaded.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded_ok;
+      const RangeReachMethod& method = *loaded->method;
+      const auto scratch = method.NewScratch();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const auto& [vertex, region] = queries[q];
+        ASSERT_EQ(method.Evaluate(vertex, region, *scratch), expected[q])
+            << "byte " << i << " load mode " << static_cast<int>(mode)
+            << " query " << q;
+      }
+    }
+    file.seekp(static_cast<std::streamoff>(i));
+    file.put(clean[i]);
+    file.flush();
+  }
+  file.close();
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded_ok, 0u);  // The padding between sections is unchecked.
+  EXPECT_TRUE(testing::ReadWholeFile(path) == clean);
+  std::remove(path.c_str());
 }
 
 TEST(MethodSnapshotTest, FingerprintMismatchIsRejected) {

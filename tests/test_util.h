@@ -1,6 +1,8 @@
 #ifndef GSR_TESTS_TEST_UTIL_H_
 #define GSR_TESTS_TEST_UTIL_H_
 
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +17,13 @@
 #include "graph/digraph.h"
 
 namespace gsr::testing {
+
+/// The whole contents of the file at `path` (empty when unreadable).
+inline std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 /// RangeReachEnum as a value: the reachable spatial vertices of `vertex`
 /// inside `region`, ascending, evaluated on `scratch`.
