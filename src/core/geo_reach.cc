@@ -308,10 +308,6 @@ bool GeoReachMethod::EvaluateAny(std::span<const VertexId> sources,
   return false;
 }
 
-void GeoReachMethod::DrainScratchCounters(QueryScratch& scratch) const {
-  totals_.Drain(static_cast<Scratch&>(scratch).counters);
-}
-
 size_t GeoReachMethod::IndexSizeBytes() const {
   // The SPA-graph augmentation: one class tag per vertex, an RMBR per
   // R-vertex, a cell list per G-vertex (plus its exact RMBR, which our

@@ -62,27 +62,14 @@ class GeoReachMethod : public RangeReachMethod {
   explicit GeoReachMethod(const CondensedNetwork* cn)
       : GeoReachMethod(cn, Options{}) {}
 
-  /// Per-query traversal counters: GeoReach's cost is the SPA-graph BFS.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t vertices_visited = 0;  // Components popped by the BFS.
-    uint64_t pruned = 0;            // Visits answered kPrune.
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      vertices_visited += o.vertices_visited;
-      pruned += o.pruned;
-      return *this;
-    }
-  };
-
-  /// Per-thread BFS state (epoch-stamped marks + frontier) and counters.
+  /// Per-thread BFS state: epoch-stamped marks and the frontier.
+  /// GeoReach's cost is the SPA-graph BFS, which the counters'
+  /// vertices_visited and pruned measure.
   struct Scratch : QueryScratch {
     explicit Scratch(uint32_t num_components) : mark(num_components, 0) {}
     std::vector<uint32_t> mark;
     std::vector<ComponentId> queue;
     uint32_t epoch = 0;
-    Counters counters;
   };
 
   std::unique_ptr<QueryScratch> NewScratch() const override {
@@ -107,9 +94,6 @@ class GeoReachMethod : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override { return "GeoReach"; }
 
   size_t IndexSizeBytes() const override;
@@ -129,9 +113,6 @@ class GeoReachMethod : public RangeReachMethod {
     uint64_t g = 0;
   };
   ClassCounts CountClasses() const;
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
 
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
@@ -165,7 +146,6 @@ class GeoReachMethod : public RangeReachMethod {
   std::vector<SpaClass> class_;
   std::vector<Rect> rmbr_;                       // R-vertices (and G, exact)
   std::vector<std::vector<GridCell>> reach_grid_;  // G-vertices
-  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

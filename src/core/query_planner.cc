@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -337,15 +338,9 @@ bool PlannedMethod::Evaluate(VertexId vertex, const Rect& region,
     return false;
   }
   const ComponentId source = cn_->ComponentOf(vertex);
-  switch (observations_.SettleRange(source, region)) {
-    case Observations::Verdict::kNo:
-      ++s.counters.settled_negative;
-      return false;
-    case Observations::Verdict::kYes:
-      ++s.counters.settled_positive;
-      return true;
-    case Observations::Verdict::kUnknown:
-      break;
+  if (const std::optional<bool> settled =
+          PreCheck(source, region, s.counters)) {
+    return *settled;
   }
   const size_t m = Route(source, region, static_cast<double>(block));
   ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
@@ -370,17 +365,10 @@ void PlannedMethod::EvaluateGroup(VertexId vertex,
       ++s.counters.settled_negative;
       continue;
     }
-    switch (observations_.SettleRange(source, regions[k])) {
-      case Observations::Verdict::kNo:
-        out[k] = false;
-        ++s.counters.settled_negative;
-        continue;
-      case Observations::Verdict::kYes:
-        out[k] = true;
-        ++s.counters.settled_positive;
-        continue;
-      case Observations::Verdict::kUnknown:
-        break;
+    if (const std::optional<bool> settled =
+            PreCheck(source, regions[k], s.counters)) {
+      out[k] = *settled;
+      continue;
     }
     const size_t m = Route(source, regions[k], static_cast<double>(block));
     s.route_of[k] = static_cast<uint32_t>(m);
@@ -486,18 +474,19 @@ bool PlannedMethod::EvaluateAny(std::span<const VertexId> sources,
     return false;
   }
   // Per-source settles: a positive witness answers the disjunction, a
-  // negative proof drops the source from the delegated query.
+  // negative proof drops the source from the delegated query. Settles
+  // count per query, not per source: only a witness, or every source
+  // dropping, settles the AnyReach query.
   s.pending_sources.clear();
   for (const VertexId v : sources) {
-    switch (observations_.SettleRange(cn_->ComponentOf(v), region)) {
-      case Observations::Verdict::kYes:
-        ++s.counters.settled_positive;
-        return true;
-      case Observations::Verdict::kNo:
-        break;
-      case Observations::Verdict::kUnknown:
-        s.pending_sources.push_back(v);
-        break;
+    const Observations::Verdict verdict =
+        observations_.SettleRange(cn_->ComponentOf(v), region);
+    if (verdict == Observations::Verdict::kYes) {
+      ++s.counters.settled_positive;
+      return true;
+    }
+    if (verdict == Observations::Verdict::kUnknown) {
+      s.pending_sources.push_back(v);
     }
   }
   if (s.pending_sources.empty()) {
@@ -516,7 +505,7 @@ void PlannedMethod::DrainScratchCounters(QueryScratch& scratch) const {
   for (size_t m = 0; m < members_.size(); ++m) {
     members_[m]->DrainScratchCounters(*s.member_scratch[m]);
   }
-  totals_.Drain(s.counters);
+  RangeReachMethod::DrainScratchCounters(scratch);
 }
 
 size_t PlannedMethod::IndexSizeBytes() const {

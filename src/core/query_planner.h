@@ -54,8 +54,7 @@ Observations BuildNetworkObservations(const CondensedNetwork& cn,
 class PlannedMethod : public RangeReachMethod {
  public:
   /// One entry past the last MethodKind, for routed-query histograms.
-  static constexpr size_t kKindCount =
-      static_cast<size_t>(MethodKind::kPlanner) + 1;
+  static constexpr size_t kKindCount = kMethodKindCount;
 
   /// Fitted cost model of one portfolio member:
   /// cost_ns(query) = base_ns + per_unit_ns * feature(query).
@@ -64,32 +63,12 @@ class PlannedMethod : public RangeReachMethod {
     double per_unit_ns = 0.0;
   };
 
-  /// Planner-level counters. Member-level counters (probe counts, their
-  /// own settles on routed queries) stay on the members and are drained
-  /// through them.
-  struct Counters {
-    uint64_t queries = 0;
-    /// Queries answered FALSE by stage 1 (empty region or no reachable
-    /// spatial vertex) without routing.
-    uint64_t settled_negative = 0;
-    /// Boolean queries answered TRUE by a reachable witness point.
-    uint64_t settled_positive = 0;
-    /// Routed queries per member kind (indexed by MethodKind).
-    std::array<uint64_t, kKindCount> routed{};
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      settled_negative += o.settled_negative;
-      settled_positive += o.settled_positive;
-      for (size_t i = 0; i < kKindCount; ++i) routed[i] += o.routed[i];
-      return *this;
-    }
-  };
-
-  /// Composite per-thread state: one scratch per member plus the
-  /// planner's own counters and gather buffers for the grouped paths.
+  /// Composite per-thread state: one scratch per member plus gather
+  /// buffers for the grouped paths. The planner's own counters hold its
+  /// stage-1 settles (queries answered without routing) and the routed
+  /// queries per member kind; the members' work, including their own
+  /// settles on routed queries, lands in the member scratches.
   struct Scratch : QueryScratch {
-    Counters counters;
     std::vector<std::unique_ptr<QueryScratch>> member_scratch;
     // Grouped-path staging: per-region route, gathered regions/slots of
     // the member currently executing, and its boolean answer buffer
@@ -125,15 +104,13 @@ class PlannedMethod : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-
+  /// Drains every member scratch into its member, then the planner's own
+  /// counters into the planner.
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
   std::string name() const override { return "Planner"; }
 
   size_t IndexSizeBytes() const override;
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
 
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
@@ -203,7 +180,6 @@ class PlannedMethod : public RangeReachMethod {
   // them (see FinishSetup).
   std::vector<uint32_t> desc_count_;   // |D(c)|, for SocReach.
   std::vector<uint32_t> label_count_;  // |L(c)|, for 3DReach.
-  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

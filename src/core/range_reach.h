@@ -1,11 +1,13 @@
 #ifndef GSR_CORE_RANGE_REACH_H_
 #define GSR_CORE_RANGE_REACH_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,10 +16,30 @@
 #include "core/result_sink.h"
 #include "geometry/geometry.h"
 #include "graph/digraph.h"
+#include "graph/scc.h"
+#include "labeling/observations.h"
 
 namespace gsr {
 
-class Observations;
+/// The RangeReach evaluation methods of the experimental analysis
+/// (Section 6.1), plus the index-free ground truth and the cost-based
+/// planner that routes each query across a portfolio of them.
+enum class MethodKind {
+  kNaiveBfs,
+  kSpaReachBfl,
+  kSpaReachInt,
+  kSpaReachPll,
+  kSpaReachFeline,
+  kGeoReach,
+  kSocReach,
+  kThreeDReach,
+  kThreeDReachRev,
+  kPlanner,
+};
+
+/// One entry past the last MethodKind, for per-kind histograms.
+inline constexpr size_t kMethodKindCount =
+    static_cast<size_t>(MethodKind::kPlanner) + 1;
 
 /// One RangeReach(G, v, R) query: does vertex `vertex` reach any spatial
 /// vertex whose point lies inside `region`? (Problem 1 of the paper.)
@@ -36,6 +58,46 @@ struct AnyReachQuery {
   Rect region;
 };
 
+/// The cost counters of a query — one schema for every method, grouped by
+/// the layer a query crosses. Each method counts only the fields of its
+/// own layers; the rest stay zero. Section 6 explains each method's cost
+/// by these counts: SRange candidates and GReach probes for SpaReach,
+/// |D(v)| for SocReach, cuboids for 3DReach, BFS visits for GeoReach.
+struct QueryCounters {
+  // Pre-check layer (the attached observations, the planner's stage 1).
+  uint64_t queries = 0;
+  /// Queries proven FALSE (or TRUE) before any index is touched. The
+  /// spatial-first methods also count the per-candidate (and per-source)
+  /// probes a tri-state TestReach or SettleRange settles.
+  uint64_t settled_negative = 0;
+  uint64_t settled_positive = 0;
+  // Planner layer: routed queries per member kind (indexed by MethodKind).
+  std::array<uint64_t, kMethodKindCount> routed{};
+  // Method work.
+  uint64_t candidates = 0;         // SpaReach: SRange results materialized.
+  uint64_t greach_calls = 0;       // SpaReach: reachability probes issued.
+  uint64_t descendants = 0;        // SocReach: |D(v)| summed over queries.
+  uint64_t containment_tests = 0;  // SocReach: spatial tests until a hit.
+  uint64_t range_queries = 0;      // 3DReach: cuboids issued.
+  uint64_t vertices_visited = 0;   // GeoReach: components popped by the BFS.
+  uint64_t pruned = 0;             // GeoReach: visits answered kPrune.
+
+  QueryCounters& operator+=(const QueryCounters& o) {
+    queries += o.queries;
+    settled_negative += o.settled_negative;
+    settled_positive += o.settled_positive;
+    for (size_t i = 0; i < kMethodKindCount; ++i) routed[i] += o.routed[i];
+    candidates += o.candidates;
+    greach_calls += o.greach_calls;
+    descendants += o.descendants;
+    containment_tests += o.containment_tests;
+    range_queries += o.range_queries;
+    vertices_visited += o.vertices_visited;
+    pruned += o.pruned;
+    return *this;
+  }
+};
+
 /// Per-thread mutable query state (buffers, visited marks, cost counters).
 ///
 /// Index structures are immutable after construction, so the only thing
@@ -48,36 +110,9 @@ struct AnyReachQuery {
 class QueryScratch {
  public:
   virtual ~QueryScratch() = default;
-};
 
-/// The aggregate cost counters of one method. Scratches fold their
-/// per-query counters in through Drain (a method's DrainScratchCounters);
-/// readers get a copy. Every access takes the mutex, so drains from many
-/// threads may race with readers; drains run once per scratch per batch,
-/// never per query, so the lock stays off the query path. `C` is a plain
-/// counters struct with an operator+=.
-template <typename C>
-class CounterTotals {
- public:
-  /// Adds `from` to the totals and zeroes it, so a scratch can be
-  /// drained after every batch without double counting.
-  void Drain(C& from) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    totals_ += from;
-    from = C{};
-  }
-  C Get() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return totals_;
-  }
-  void Reset() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    totals_ = C{};
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable C totals_{};
+  /// The work of the queries run on this scratch since its last drain.
+  QueryCounters counters;
 };
 
 /// Common interface of all RangeReach evaluation methods. Implementations
@@ -87,14 +122,19 @@ class CounterTotals {
 /// CollectInto, EvaluateAny and their grouped forms, each with a scratch
 /// from NewScratch(). They touch no method state except through that
 /// scratch, so any number of threads may query one method concurrently,
-/// each owning one scratch. Methods that keep aggregate counters fold a
-/// scratch's counters in only through DrainScratchCounters.
+/// each owning one scratch. A query counts its work into its scratch; the
+/// method's totals see it only through DrainScratchCounters.
 ///
 /// Precondition of every query entry point: each query vertex (and every
 /// AnyReach source) is < num_vertices(). A direct call does not check it;
 /// BatchRunner and QueryScheduler validate whole batches up front.
 class RangeReachMethod {
  public:
+  using Counters = QueryCounters;
+
+  RangeReachMethod() = default;
+  RangeReachMethod(const RangeReachMethod&) = delete;
+  RangeReachMethod& operator=(const RangeReachMethod&) = delete;
   virtual ~RangeReachMethod() = default;
 
   /// Vertices of the network the method answers over; valid query
@@ -193,14 +233,28 @@ class RangeReachMethod {
     return std::make_unique<QueryScratch>();
   }
 
-  /// Folds the per-query cost counters accumulated in `scratch` into the
-  /// method's aggregate counters (the ones its counters() accessor
-  /// returns a copy of) and zeroes them in `scratch`, so a scratch can be
-  /// drained after every batch without double counting. Safe to call
-  /// concurrently for distinct scratches (the totals are a CounterTotals);
-  /// `scratch` itself must be idle. No-op for methods without counters.
+  /// Folds the counters accumulated in `scratch` into the method's totals
+  /// and zeroes them in `scratch`, so a scratch can be drained after
+  /// every batch without double counting. Safe to call concurrently for
+  /// distinct scratches (the totals sit behind one mutex); `scratch`
+  /// itself must be idle. Drains run once per scratch per batch, never
+  /// per query, so the lock stays off the query path. Only composite
+  /// methods override it, to drain their members' scratches as well.
   virtual void DrainScratchCounters(QueryScratch& scratch) const {
-    (void)scratch;
+    const std::lock_guard<std::mutex> lock(books_->mutex);
+    books_->totals += scratch.counters;
+    scratch.counters = QueryCounters{};
+  }
+
+  /// A copy of the drained totals. Readers may race with drains.
+  Counters counters() const {
+    const std::lock_guard<std::mutex> lock(books_->mutex);
+    return books_->totals;
+  }
+
+  void ResetCounters() const {
+    const std::lock_guard<std::mutex> lock(books_->mutex);
+    books_->totals = QueryCounters{};
   }
 
   /// RangeReachCount: how many distinct spatial vertices inside `region`
@@ -245,7 +299,7 @@ class RangeReachMethod {
   /// and never reused. Caches keyed by method (like BatchRunner's scratch
   /// cache) use it instead of the object address, which a later instance
   /// could legitimately reoccupy.
-  uint64_t instance_id() const { return instance_id_; }
+  uint64_t instance_id() const { return books_->instance_id; }
 
   /// Display name, e.g. "3DReach" or "SpaReach-BFL (mbr)".
   virtual std::string name() const = 0;
@@ -255,14 +309,45 @@ class RangeReachMethod {
   /// SPA-graph), excluding the shared network/condensation.
   virtual size_t IndexSizeBytes() const = 0;
 
+ protected:
+  /// The whole-query pre-check: the attached observations' SettleRange
+  /// verdict for (source, region) — the answer when it settles, counted
+  /// into `counters` — or nullopt when it does not (or none is attached).
+  std::optional<bool> PreCheck(ComponentId source, const Rect& region,
+                               QueryCounters& counters) const {
+    if (observations_ == nullptr) return std::nullopt;
+    switch (observations_->SettleRange(source, region)) {
+      case Observations::Verdict::kNo:
+        ++counters.settled_negative;
+        return false;
+      case Observations::Verdict::kYes:
+        ++counters.settled_positive;
+        return true;
+      case Observations::Verdict::kUnknown:
+        break;
+    }
+    return std::nullopt;
+  }
+
  private:
   static uint64_t NextInstanceId() {
     static std::atomic<uint64_t> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);
   }
 
-  uint64_t instance_id_ = NextInstanceId();
+  /// The instance's id and drained counter totals, kept off the object:
+  /// one pointer in place of the id leaves the base at three words, so no
+  /// derived member moves. Query paths are sensitive to member layout
+  /// alone; shifting every 3DReach member by one word measurably slowed
+  /// the streaming overlay's base probes.
+  struct Bookkeeping {
+    uint64_t instance_id = NextInstanceId();
+    std::mutex mutex;  // Guards totals.
+    QueryCounters totals;
+  };
+
   const Observations* observations_ = nullptr;
+  std::unique_ptr<Bookkeeping> books_ = std::make_unique<Bookkeeping>();
 };
 
 }  // namespace gsr

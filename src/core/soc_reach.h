@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,29 +42,11 @@ class SocReach : public RangeReachMethod {
                                           IntervalLabeling::Options{}, pool)) {}
   explicit SocReach(const CondensedNetwork* cn) : SocReach(cn, Options{}) {}
 
-  /// Per-query cost counters: SocReach's cost is dominated by the size of
-  /// the materialized descendant sets.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t descendants = 0;        // |D(v)| summed over queries.
-    uint64_t containment_tests = 0;  // Spatial tests until the first hit.
-    uint64_t settled_negative = 0;   // Queries proven FALSE by pre-checks.
-    uint64_t settled_positive = 0;   // Queries proven TRUE by pre-checks.
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      descendants += o.descendants;
-      containment_tests += o.containment_tests;
-      settled_negative += o.settled_negative;
-      settled_positive += o.settled_positive;
-      return *this;
-    }
-  };
-
-  /// Per-thread state: the reusable D(v) buffer plus counters.
+  /// Per-thread state: the reusable D(v) buffer. SocReach's cost is
+  /// dominated by the size of the materialized descendant sets, which the
+  /// counters' descendants and containment_tests measure.
   struct Scratch : QueryScratch {
     std::vector<VertexId> descendants;
-    Counters counters;
   };
 
   std::unique_ptr<QueryScratch> NewScratch() const override {
@@ -77,17 +60,9 @@ class SocReach : public RangeReachMethod {
     const ComponentId source = cn_->ComponentOf(vertex);
     // Observation pre-checks settle the whole query — the descendant
     // enumeration (SocReach's dominating cost) is skipped entirely.
-    if (const Observations* obs = observations()) {
-      switch (obs->SettleRange(source, region)) {
-        case Observations::Verdict::kNo:
-          ++s.counters.settled_negative;
-          return false;
-        case Observations::Verdict::kYes:
-          ++s.counters.settled_positive;
-          return true;
-        case Observations::Verdict::kUnknown:
-          break;
-      }
+    if (const std::optional<bool> settled =
+            PreCheck(source, region, s.counters)) {
+      return *settled;
     }
     if (options_.stream_containment) {
       // Fused variant: each enumerated descendant is tested immediately,
@@ -141,19 +116,19 @@ class SocReach : public RangeReachMethod {
   void EvaluateGroup(VertexId vertex, std::span<const Rect> regions,
                      std::span<bool> out,
                      QueryScratch& scratch) const override {
-    Scratch& s = static_cast<Scratch&>(scratch);
+    QueryCounters& counters = scratch.counters;
     const ComponentId source = cn_->ComponentOf(vertex);
     for (size_t base = 0; base < regions.size(); base += 64) {
       const size_t chunk = std::min<size_t>(64, regions.size() - base);
-      s.counters.queries += chunk;
+      counters.queries += chunk;
       uint64_t pending =
           chunk == 64 ? ~uint64_t{0} : (uint64_t{1} << chunk) - 1;
       labeling_.ForEachDescendant(source, [&](VertexId descendant) {
-        ++s.counters.descendants;
+        ++counters.descendants;
         const ComponentId c = static_cast<ComponentId>(descendant);
         for (uint64_t m = pending; m != 0; m &= m - 1) {
           const size_t k = static_cast<size_t>(std::countr_zero(m));
-          ++s.counters.containment_tests;
+          ++counters.containment_tests;
           if (cn_->AnyMemberPointIn(c, regions[base + k])) {
             out[base + k] = true;
             pending &= ~(m & (~m + 1));
@@ -175,8 +150,8 @@ class SocReach : public RangeReachMethod {
   /// (the MBR-gated member enumeration), mirroring the boolean path.
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
                    QueryScratch& scratch) const override {
-    Scratch& s = static_cast<Scratch&>(scratch);
-    ++s.counters.queries;
+    QueryCounters& counters = scratch.counters;
+    ++counters.queries;
     const ComponentId source = cn_->ComponentOf(vertex);
     // Only the negative settle applies to collection: no reachable
     // spatial vertex at all proves the result set empty for every
@@ -184,12 +159,12 @@ class SocReach : public RangeReachMethod {
     // full enumeration.)
     if (const Observations* obs = observations();
         obs != nullptr && !obs->ReachesAnySpatial(source)) {
-      ++s.counters.settled_negative;
+      ++counters.settled_negative;
       return;
     }
     labeling_.ForEachDescendant(source, [&](VertexId descendant) {
-      ++s.counters.descendants;
-      ++s.counters.containment_tests;
+      ++counters.descendants;
+      ++counters.containment_tests;
       cn_->ForEachSpatialMemberIn(static_cast<ComponentId>(descendant), region,
                                   [&](VertexId v) { sink.Add(v); });
       return true;
@@ -203,28 +178,20 @@ class SocReach : public RangeReachMethod {
   void CollectGroupInto(VertexId vertex, std::span<const Rect> regions,
                         std::span<ResultSink> sinks,
                         QueryScratch& scratch) const override {
-    Scratch& s = static_cast<Scratch&>(scratch);
-    s.counters.queries += regions.size();
+    QueryCounters& counters = scratch.counters;
+    counters.queries += regions.size();
     const ComponentId source = cn_->ComponentOf(vertex);
     labeling_.ForEachDescendant(source, [&](VertexId descendant) {
-      ++s.counters.descendants;
+      ++counters.descendants;
       const ComponentId c = static_cast<ComponentId>(descendant);
       for (size_t k = 0; k < regions.size(); ++k) {
-        ++s.counters.containment_tests;
+        ++counters.containment_tests;
         cn_->ForEachSpatialMemberIn(c, regions[k],
                                     [&](VertexId v) { sinks[k].Add(v); });
       }
       return true;
     });
   }
-
-
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    totals_.Drain(static_cast<Scratch&>(scratch).counters);
-  }
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
 
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
@@ -249,7 +216,6 @@ class SocReach : public RangeReachMethod {
   const CondensedNetwork* cn_;
   Options options_;
   IntervalLabeling labeling_;
-  CounterTotals<Counters> totals_;
 };
 
 }  // namespace gsr

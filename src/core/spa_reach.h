@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -28,35 +29,13 @@ namespace gsr {
 /// reachability backend is injected by the subclass.
 class SpaReachBase : public RangeReachMethod {
  public:
-  /// Per-query cost counters (accumulated in the scratch, drained into
-  /// counters(), reset with ResetCounters). Explains the method's
-  /// sensitivity to the spatial selectivity: every candidate inside the
-  /// region may cost one GReach probe.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t candidates = 0;    // SRange results materialized.
-    uint64_t greach_calls = 0;  // Reachability probes issued.
-    /// Pre-check hits (attached observations): whole queries *and*
-    /// per-candidate probes settled without touching the backend.
-    uint64_t settled_negative = 0;
-    uint64_t settled_positive = 0;
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      candidates += o.candidates;
-      greach_calls += o.greach_calls;
-      settled_negative += o.settled_negative;
-      settled_positive += o.settled_positive;
-      return *this;
-    }
-  };
-
   /// Per-thread state shared by every spatial-first method: the SRange
-  /// result buffer plus counters. Backends with their own search state
-  /// (BFL, Feline) derive from it.
+  /// result buffer. Backends with their own search state (BFL, Feline)
+  /// derive from it. The counters explain the method's sensitivity to the
+  /// spatial selectivity: every candidate inside the region may cost one
+  /// GReach probe.
   struct Scratch : QueryScratch {
     std::vector<std::pair<ComponentId, bool>> candidates;
-    Counters counters;
     /// Group-shared GReach memo (SpaReachInt::EvaluateGroup): the probe
     /// result per component, epoch-stamped so resetting between groups is
     /// O(1) instead of O(#components). Lazily sized on first grouped call.
@@ -78,22 +57,15 @@ class SpaReachBase : public RangeReachMethod {
                 QueryScratch& scratch) const override {
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
-    const Observations* obs = observations();
+    const ComponentId source = cn_->ComponentOf(vertex);
     // Observation pre-checks settle the whole query before SRange: no
     // spatial descendant at all, or a reachable witness point inside
     // the region.
-    if (obs != nullptr) {
-      switch (obs->SettleRange(cn_->ComponentOf(vertex), region)) {
-        case Observations::Verdict::kNo:
-          ++s.counters.settled_negative;
-          return false;
-        case Observations::Verdict::kYes:
-          ++s.counters.settled_positive;
-          return true;
-        case Observations::Verdict::kUnknown:
-          break;
-      }
+    if (const std::optional<bool> settled =
+            PreCheck(source, region, s.counters)) {
+      return *settled;
     }
+    const Observations* obs = observations();
     // Step 1 (SRange): materialize every spatial vertex inside the region,
     // as the SpaReach algorithm prescribes. This is what makes the method
     // sensitive to the spatial selectivity of the query.
@@ -101,7 +73,6 @@ class SpaReachBase : public RangeReachMethod {
     // Step 2: one GReach query per candidate, stopping at the first
     // positive answer.
     s.counters.candidates += s.candidates.size();
-    const ComponentId source = cn_->ComponentOf(vertex);
     if (HasBatchProbe()) {
       // Backends with a batched kernel answer a whole chunk of
       // candidates per dispatch; reachable candidates are then verified
@@ -230,7 +201,6 @@ class SpaReachBase : public RangeReachMethod {
     if (sources.empty()) return false;
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
-    const Observations* obs = observations();
     s.seen.BeginPass(cn_->num_components());
     s.distinct.clear();
     // Per-source settles before SRange: a witness point inside the
@@ -240,17 +210,10 @@ class SpaReachBase : public RangeReachMethod {
     for (const VertexId source : sources) {
       const ComponentId c = cn_->ComponentOf(source);
       if (!s.seen.TestAndSet(c)) continue;
-      if (obs != nullptr) {
-        switch (obs->SettleRange(c, region)) {
-          case Observations::Verdict::kYes:
-            ++s.counters.settled_positive;
-            return true;
-          case Observations::Verdict::kNo:
-            ++s.counters.settled_negative;
-            continue;
-          case Observations::Verdict::kUnknown:
-            break;
-        }
+      if (const std::optional<bool> settled =
+              PreCheck(c, region, s.counters)) {
+        if (*settled) return true;
+        continue;
       }
       s.distinct.push_back(c);
     }
@@ -300,13 +263,6 @@ class SpaReachBase : public RangeReachMethod {
     return false;
   }
 
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    totals_.Drain(static_cast<Scratch&>(scratch).counters);
-  }
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
-
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
   }
@@ -355,7 +311,6 @@ class SpaReachBase : public RangeReachMethod {
   CondensedSpatialIndex spatial_index_;
 
  private:
-  CounterTotals<Counters> totals_;
   std::string base_name_;
 };
 

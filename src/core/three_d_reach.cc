@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -64,22 +65,14 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
 
 bool ThreeDReach::Evaluate(VertexId vertex, const Rect& region,
                            QueryScratch& scratch) const {
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
+  QueryCounters& counters = scratch.counters;
   ++counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   // Observation pre-checks settle the whole query — every label's
   // R-tree descent is skipped.
-  if (const Observations* obs = observations()) {
-    switch (obs->SettleRange(source, region)) {
-      case Observations::Verdict::kNo:
-        ++counters.settled_negative;
-        return false;
-      case Observations::Verdict::kYes:
-        ++counters.settled_positive;
-        return true;
-      case Observations::Verdict::kUnknown:
-        break;
-    }
+  if (const std::optional<bool> settled =
+          PreCheck(source, region, counters)) {
+    return *settled;
   }
   const bool replicate = options_.scc_mode == SccSpatialMode::kReplicate;
   // One 3-D existence query per label of the query vertex. With the
@@ -117,7 +110,7 @@ void ThreeDReach::EvaluateGroup(VertexId vertex,
     RangeReachMethod::EvaluateGroup(vertex, regions, out, scratch);
     return;
   }
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
+  QueryCounters& counters = scratch.counters;
   const ComponentId source = cn_->ComponentOf(vertex);
   const auto labels = labeling_.Labels(source).intervals();
   Box3D cuboids[simd::kMaskWidth];
@@ -280,10 +273,6 @@ bool ThreeDReach::EvaluateAny(std::span<const VertexId> sources,
   return flush();
 }
 
-void ThreeDReach::DrainScratchCounters(QueryScratch& scratch) const {
-  totals_.Drain(static_cast<Scratch&>(scratch).counters);
-}
-
 std::string ThreeDReach::name() const {
   std::string out = "3DReach";
   if (options_.scc_mode == SccSpatialMode::kMbr) out += " (mbr)";
@@ -342,22 +331,13 @@ ThreeDReachRev::ThreeDReachRev(const CondensedNetwork* cn,
 
 bool ThreeDReachRev::Evaluate(VertexId vertex, const Rect& region,
                               QueryScratch& scratch) const {
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
-  ++counters.queries;
+  ++scratch.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   // Observation pre-checks settle the whole query without the plane
   // descent.
-  if (const Observations* obs = observations()) {
-    switch (obs->SettleRange(source, region)) {
-      case Observations::Verdict::kNo:
-        ++counters.settled_negative;
-        return false;
-      case Observations::Verdict::kYes:
-        ++counters.settled_positive;
-        return true;
-      case Observations::Verdict::kUnknown:
-        break;
-    }
+  if (const std::optional<bool> settled =
+          PreCheck(source, region, scratch.counters)) {
+    return *settled;
   }
   // A single 3-D query: the plane R x post(v). It cuts the segment of a
   // spatial vertex u iff u.point is in R and v is an ancestor of u.
@@ -401,6 +381,7 @@ void ThreeDReachRev::EvaluateGroup(VertexId vertex,
   Box3D planes[simd::kMaskWidth];
   for (size_t base = 0; base < regions.size(); base += simd::kMaskWidth) {
     const size_t chunk = std::min(simd::kMaskWidth, regions.size() - base);
+    scratch.counters.queries += chunk;
     const uint64_t pending = chunk == simd::kMaskWidth
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << chunk) - 1;
@@ -456,6 +437,7 @@ void ThreeDReachRev::CollectGroupInto(VertexId vertex,
   Box3D planes[simd::kMaskWidth];
   for (size_t base = 0; base < regions.size(); base += simd::kMaskWidth) {
     const size_t chunk = std::min(simd::kMaskWidth, regions.size() - base);
+    s.counters.queries += chunk;
     const uint64_t live = chunk == simd::kMaskWidth
                               ? ~uint64_t{0}
                               : (uint64_t{1} << chunk) - 1;
@@ -482,6 +464,7 @@ bool ThreeDReachRev::EvaluateAny(std::span<const VertexId> sources,
   }
   if (sources.empty()) return false;
   Scratch& s = static_cast<Scratch&>(scratch);
+  ++s.counters.queries;
   // One plane per distinct source component, each at its own height
   // z = post(source), batched into masked existence descents.
   s.seen.BeginPass(cn_->num_components());
@@ -504,10 +487,6 @@ bool ThreeDReachRev::EvaluateAny(std::span<const VertexId> sources,
     if (filled == simd::kMaskWidth && flush()) return true;
   }
   return flush();
-}
-
-void ThreeDReachRev::DrainScratchCounters(QueryScratch& scratch) const {
-  totals_.Drain(static_cast<Scratch&>(scratch).counters);
 }
 
 std::string ThreeDReachRev::name() const {

@@ -39,28 +39,11 @@ class ThreeDReach : public RangeReachMethod {
   explicit ThreeDReach(const CondensedNetwork* cn)
       : ThreeDReach(cn, Options{}) {}
 
-  /// Per-query counters: one 3-D existence query per label of the query
-  /// vertex (until a hit).
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t range_queries = 0;   // Cuboids issued.
-    uint64_t settled_negative = 0;  // Queries proven FALSE by pre-checks.
-    uint64_t settled_positive = 0;  // Queries proven TRUE by pre-checks.
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      range_queries += o.range_queries;
-      settled_negative += o.settled_negative;
-      settled_positive += o.settled_positive;
-      return *this;
-    }
-  };
-
-  /// Per-thread state: counters plus the collection-path dedup marks
-  /// (the replicate tree yields one hit per member point, but a
-  /// component's members must be emitted once).
+  /// Per-thread state: the collection-path dedup marks (the replicate
+  /// tree yields one hit per member point, but a component's members must
+  /// be emitted once). The counters' range_queries counts one 3-D
+  /// existence query per label of the query vertex (until a hit).
   struct Scratch : QueryScratch {
-    Counters counters;
     SeenMarks seen;
     GroupSeenMarks group_seen;
   };
@@ -103,9 +86,6 @@ class ThreeDReach : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override;
 
   size_t IndexSizeBytes() const override {
@@ -113,9 +93,6 @@ class ThreeDReach : public RangeReachMethod {
   }
 
   const IntervalLabeling& labeling() const { return labeling_; }
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
 
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
@@ -148,10 +125,6 @@ class ThreeDReach : public RangeReachMethod {
   // packed query-side layout; only the mode's tree is non-empty.
   FrozenRTreePoints3D points_;  // kReplicate: one 3-D point per vertex.
   FrozenRTree3D boxes_;         // kMbr: one flat box per component.
-  // Last, after everything Evaluate reads: touched only by drains, and
-  // placing it between the labeling and the trees measurably slowed the
-  // streaming overlay's base probes.
-  CounterTotals<Counters> totals_;
 };
 
 /// 3DReach-REV, the line-based variant (Section 4.2, second half). It uses
@@ -171,26 +144,10 @@ class ThreeDReachRev : public RangeReachMethod {
   explicit ThreeDReachRev(const CondensedNetwork* cn)
       : ThreeDReachRev(cn, Options{}) {}
 
-  /// Per-query counters: pre-check settles only — the plane probe
-  /// itself issues exactly one 3-D query per RangeReach, so there is
-  /// nothing else to count.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t settled_negative = 0;
-    uint64_t settled_positive = 0;
-
-    Counters& operator+=(const Counters& o) {
-      queries += o.queries;
-      settled_negative += o.settled_negative;
-      settled_positive += o.settled_positive;
-      return *this;
-    }
-  };
-
-  /// Per-thread state: counters plus the collection/AnyReach dedup
-  /// marks — the boolean probe itself is stateless per query.
+  /// Per-thread state: the collection/AnyReach dedup marks — the boolean
+  /// probe itself is stateless per query, so it counts only queries and
+  /// pre-check settles (one plane probe per RangeReach, nothing else).
   struct Scratch : QueryScratch {
-    Counters counters;
     SeenMarks seen;
     GroupSeenMarks group_seen;
   };
@@ -229,9 +186,6 @@ class ThreeDReachRev : public RangeReachMethod {
   bool EvaluateAny(std::span<const VertexId> sources, const Rect& region,
                    QueryScratch& scratch) const override;
 
-
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override;
 
   size_t IndexSizeBytes() const override {
@@ -240,9 +194,6 @@ class ThreeDReachRev : public RangeReachMethod {
 
   /// The reversed labeling (post numbers refer to the reversed forest).
   const IntervalLabeling& labeling() const { return labeling_; }
-
-  Counters counters() const { return totals_.Get(); }
-  void ResetCounters() const { totals_.Reset(); }
 
   VertexId num_vertices() const override {
     return cn_->network().num_vertices();
@@ -269,7 +220,6 @@ class ThreeDReachRev : public RangeReachMethod {
   // mirroring Boost ("segments and boxes are stored in a similar manner"),
   // which is why 3DReach-REV shows no MBR-variant overhead in Table 4.
   FrozenRTree3D rtree_;
-  CounterTotals<Counters> totals_;  // Last, as in ThreeDReach.
 };
 
 }  // namespace gsr

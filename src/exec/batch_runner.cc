@@ -158,25 +158,34 @@ BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
   BatchResult result = SizedBatchResult(queries.size(), QueryKind::kBool,
                                         options.record_latencies);
 
+  FirstError error;
   pool_->ParallelFor(
-      queries.size(), options.chunk,
-      [&](size_t i, unsigned worker) {
-        const AnyReachQuery& query = queries[i];
-        QueryScratch& scratch = scratches_[worker];
+      queries.size(), options.chunk, [&](size_t i, unsigned worker) {
+        std::chrono::steady_clock::time_point begin;
         if (options.record_latencies) {
-          const auto start = std::chrono::steady_clock::now();
-          result.answers[i] =
-              method.EvaluateAny(query.sources, query.region, scratch) ? 1 : 0;
-          const auto stop = std::chrono::steady_clock::now();
+          begin = std::chrono::steady_clock::now();
+        }
+        try {
+          result.answers[i] = method.EvaluateAny(queries[i].sources,
+                                                 queries[i].region,
+                                                 scratches_[worker])
+                                  ? 1
+                                  : 0;
+        } catch (...) {
+          // As in EvaluateEach: keep draining this worker's chunk.
+          error.Capture();
+          return;
+        }
+        if (options.record_latencies) {
           result.latencies_us[i] =
-              std::chrono::duration<double, std::micro>(stop - start).count();
-        } else {
-          result.answers[i] =
-              method.EvaluateAny(query.sources, query.region, scratch) ? 1 : 0;
+              std::chrono::duration<double, std::micro>(
+                  std::chrono::steady_clock::now() - begin)
+                  .count();
         }
       });
 
   scratches_.Drain(method);
+  error.RethrowIfAny();
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;

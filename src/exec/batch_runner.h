@@ -159,7 +159,8 @@ class BatchRunner {
   /// Evaluates a batch of multi-source AnyReach queries (one per pool
   /// task, through the method's EvaluateAny hook — k-way batched probes
   /// where the method has them). Only answers/true_count are produced;
-  /// BatchOptions::kind is ignored.
+  /// BatchOptions::kind is ignored. Rethrows like Run: after every other
+  /// query ran and the counters were drained.
   BatchResult RunAny(const RangeReachMethod& method,
                      const std::vector<AnyReachQuery>& queries,
                      const BatchOptions& options = {});

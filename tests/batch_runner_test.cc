@@ -266,9 +266,9 @@ class ThrowingMethod : public RangeReachMethod {
 };
 
 TEST(BatchRunnerTest, ExceptionRunsTheRestDrainsAndRethrows) {
-  // 100 queries on vertices 0..99, one of them poisoned. Run must still
-  // evaluate the other 99 (across every claim chunk, including the
-  // poisoned query's own), drain their counters, then rethrow.
+  // 100 queries on vertices 0..99, one of them poisoned. Run and RunAny
+  // must still evaluate the other 99 (across every claim chunk, including
+  // the poisoned query's own), drain their counters, then rethrow.
   std::vector<RangeReachQuery> queries;
   for (VertexId v = 0; v < 100; ++v) {
     queries.push_back({v, Rect(0, 0, 49.5, 49.5)});
@@ -288,6 +288,19 @@ TEST(BatchRunnerTest, ExceptionRunsTheRestDrainsAndRethrows) {
                  std::runtime_error);
     EXPECT_EQ(method.drained - before, queries.size() - 1);
   }
+
+  // RunAny likewise: the default EvaluateAny throws on the poison
+  // source; the other 99 single-source queries still run and drain.
+  std::vector<AnyReachQuery> any;
+  for (const RangeReachQuery& query : queries) {
+    any.push_back({{query.vertex}, query.region});
+  }
+  exec::BatchOptions any_options;
+  any_options.chunk = 8;
+  const size_t before_any = method.drained;
+  EXPECT_THROW((void)runner.RunAny(method, any, any_options),
+               std::runtime_error);
+  EXPECT_EQ(method.drained - before_any, queries.size() - 1);
 
   // The runner (and its scratch cache) stays usable afterwards.
   queries.erase(queries.begin() + ThrowingMethod::kPoison);
